@@ -173,11 +173,6 @@ def _load(args) -> ModuleAction | ModuleTensorData:
     raise CliError("select a category with --builtin <name> or --package <path>", 2)
 
 
-def _module_labels(data) -> tuple[str, ...]:
-    action = data.action if isinstance(data, ModuleTensorData) else data
-    return action.msimples
-
-
 def _emit(vec: ObjectVec, labels, fmt: str) -> str:
     return decomposition(vec, labels, "machine" if fmt == "tsv" else "text")
 

@@ -258,6 +258,8 @@ def fp_dimensions(ring: FusionRing) -> np.ndarray:
         raise FusionError("ring is not transitive: decompose first")
     dims = perron_vector(mats, ring.unit)
     check = np.einsum("ijk,k->ij", ring.N, dims)
-    if np.max(np.abs(check - np.outer(dims, dims))) > 1e-10:
+    products = np.outer(dims, dims)
+    # relative tolerance: products of dimensions grow like k^2
+    if np.max(np.abs(check - products)) > 1e-10 * max(1.0, np.max(products)):
         raise ArithmeticError("dimension vector fails multiplicativity")
     return dims

@@ -30,6 +30,7 @@ from .fusion import (
     validate_ring,
     verlinde_su2,
 )
+from .linalg import reduce_row
 
 
 class ModuleError(ValueError):
@@ -464,49 +465,33 @@ class _FusionSolver:
         self._prepare_linear_system()
 
     def _prepare_linear_system(self) -> None:
-        rows = [[Fraction(int(v)) for v in self.phi[i]] for i in range(self.phi.shape[0])]
-        rhs_ops: list[tuple[str, int, int, Fraction]] = []
-        pivots: list[int] = []
-        r = 0
-        nrows = len(rows)
-        for col in range(self.m):
-            piv = next((i for i in range(r, nrows) if rows[i][col] != 0), None)
-            if piv is None:
-                continue
-            if piv != r:
-                rows[r], rows[piv] = rows[piv], rows[r]
-                rhs_ops.append(("swap", r, piv, Fraction(0)))
-            if rows[r][col] != 1:
-                inv = Fraction(1) / rows[r][col]
-                rows[r] = [v * inv for v in rows[r]]
-                rhs_ops.append(("scale", r, 0, inv))
-            for i in range(nrows):
-                if i != r and rows[i][col] != 0:
-                    factor = rows[i][col]
-                    rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-                    rhs_ops.append(("axpy", i, r, factor))
-            pivots.append(col)
-            r += 1
-        self.rank = r
-        self.pivots = pivots
-        self.pivot_pos = {c: t for t, c in enumerate(pivots)}
-        self.free_cols = [c for c in range(self.m) if c not in pivots]
-        self.reduced = rows
-        self.rhs_ops = rhs_ops
+        """Reduce [phi | I] once.
 
-    def _reduce_rhs(self, b: list[Fraction]) -> list[Fraction] | None:
-        b = list(b)
-        for op, i, j, factor in self.rhs_ops:
-            if op == "swap":
-                b[i], b[j] = b[j], b[i]
-            elif op == "scale":
-                b[i] *= factor
-            else:
-                b[i] -= factor * b[j]
-        for i in range(self.rank, len(b)):
-            if b[i] != 0:
-                return None
-        return b[: self.rank]
+        The pivot rows give [R | E] with R = E phi in reduced row echelon
+        form, so E b is the reduced right-hand side; the rows that add no
+        pivot give [0 | K] with K phi = 0, so phi u = b is solvable iff K b = 0.
+        """
+        nb = self.phi.shape[0]
+        basis: dict[int, list[Fraction]] = {}
+        kernel: list[list[Fraction]] = []
+        for i in range(nb):
+            row = [Fraction(int(v)) for v in self.phi[i]]
+            row += [Fraction(int(t == i)) for t in range(nb)]
+            residue = reduce_row(basis, row, self.m, 0, Fraction(1))
+            if residue is not None:
+                kernel.append(residue[self.m :])
+        self.pivots = sorted(basis)
+        self.pivot_pos = {c: t for t, c in enumerate(self.pivots)}
+        self.free_cols = [c for c in range(self.m) if c not in basis]
+        self.reduced = [basis[c][: self.m] for c in self.pivots]
+        self.transform = [basis[c][self.m :] for c in self.pivots]
+        self.left_kernel = kernel
+
+    def _reduce_rhs(self, b: list[int]) -> list[Fraction] | None:
+        nonzero = [(i, v) for i, v in enumerate(b) if v != 0]
+        if any(sum(k[i] * v for i, v in nonzero) != 0 for k in self.left_kernel):
+            return None
+        return [sum((e[i] * v for i, v in nonzero), Fraction(0)) for e in self.transform]
 
     def _cell_bound(self, z: int, x: int, w: int) -> int:
         d = self.dims
@@ -517,7 +502,7 @@ class _FusionSolver:
         self.const: dict[tuple[int, int], list[Fraction]] = {}
         for x in range(m):
             for w in range(m):
-                b = [Fraction(int(self.mats[i][w][x])) for i in range(self.mats.shape[0])]
+                b = [int(self.mats[i][w][x]) for i in range(self.mats.shape[0])]
                 red = self._reduce_rhs(b)
                 if red is None:
                     return []

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cyclo import scalar_field
+from .linalg import reduce_row
 
 
 @dataclass(frozen=True)
@@ -425,15 +426,7 @@ def braiding(field, over: bool = True, negate: bool = False) -> TLMorphism:
 @lru_cache(maxsize=None)
 def braid_blocks(field, p: int, q: int, over: bool = True) -> TLMorphism:
     """Braid a block of p strands past a block of q strands (p+q -> q+p)."""
-    out = identity(field, p + q)
-    if p == 0 or q == 0:
-        return out
-    x = braiding(field, over)
-    for moved in range(p):
-        start = p - 1 - moved
-        for j in range(q):
-            out = compose(embed(x, start + j, p + q - 2 - start - j), out)
-    return out
+    return _apply_block_crossings(identity(field, p + q), 0, p, q, over)
 
 
 def _sandwich(x: TLObject, y: TLObject, middle: TLMorphism) -> TLMorphism:
@@ -612,9 +605,9 @@ def jw_by_annihilation(n: int, field) -> TLMorphism:
     every cap kills, normalised to have identity coefficient 1.
     """
     diagrams = all_diagrams(n, n)
+    ncols = len(diagrams)
     idx = {d: j for j, d in enumerate(diagrams)}
     rows: list[list] = []
-    rhs: list = []
     for i in range(n - 1):
         capped: dict[PlanarDiagram, dict[int, object]] = {}
         capper = embed(cap(field), i, n - 2 - i)
@@ -624,52 +617,24 @@ def jw_by_annihilation(n: int, field) -> TLMorphism:
             for dd, c in out.terms.items():
                 capped.setdefault(dd, {})[idx[d]] = c
         for dd, entries in capped.items():
-            row = [field.zero] * len(diagrams)
+            row = [field.zero] * (ncols + 1)
             for j, c in entries.items():
                 row[j] = c
             rows.append(row)
-            rhs.append(field.zero)
     ident = next(
         d for d in diagrams if d.pairing == tuple(range(n, 2 * n)) + tuple(range(n))
     )
-    row = [field.zero] * len(diagrams)
-    row[idx[ident]] = field.one
+    row = [field.zero] * (ncols + 1)
+    row[idx[ident]] = row[ncols] = field.one
     rows.append(row)
-    rhs.append(field.one)
-    solution = _solve_field(rows, rhs, field)
-    return TLMorphism(
-        field, n, n, {d: solution[idx[d]] for d in diagrams}
-    )
-
-
-def _solve_field(rows, rhs, field):
-    """Gaussian elimination over the scalar field; requires a unique solution."""
-    m = [list(r) + [b] for r, b in zip(rows, rhs)]
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(m)) if not m[i][col].is_zero()), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = m[r][col].inverse()
-        m[r] = [v * inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and not m[i][col].is_zero():
-                factor = m[i][col]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, len(m)):
-        if not m[i][ncols].is_zero():
+    basis: dict[int, list] = {}
+    for row in rows:
+        residue = reduce_row(basis, row, ncols, field.zero, field.one)
+        if residue is not None and residue[ncols] != field.zero:
             raise ValueError("inconsistent linear system")
-    if len(pivots) != ncols:
+    if len(basis) != ncols:
         raise ValueError("solution is not unique")
-    sol = [field.zero] * ncols
-    for i, col in enumerate(pivots):
-        sol[col] = m[i][ncols]
-    return sol
+    return TLMorphism(field, n, n, {d: basis[idx[d]][ncols] for d in diagrams})
 
 
 DEFAULT_STRAND_CAPS = {2: (6, 6), 4: (5, 5), 10: (4, 4), 16: (4, 4)}
@@ -697,7 +662,9 @@ def identity_suite(
         try:
             witness = fn()
         except Exception as exc:  # surface failures as check results
-            checks.append(CheckResult(name, False, f"error: {exc}"))
+            checks.append(
+                CheckResult(name, False, f"error: {type(exc).__name__}: {exc}")
+            )
             return
         checks.append(
             CheckResult(name, witness is None, "" if witness is None else str(witness))

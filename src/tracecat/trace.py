@@ -12,11 +12,14 @@ checks in this module are exhaustive and exact.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .fusion import FusionError, ObjectVec, ValidationReport, fuse
+from .linalg import reduce_row
 from .modules import ModuleAction, ModuleError, ModuleTensorData
 
 
@@ -97,9 +100,10 @@ def check_adjunction(data: ModuleTensorData | ModuleAction) -> ValidationReport:
     failures: list[str] = []
     tm = trace_matrix(data)
     phi = action.phi_matrix()
+    columns = [trace_object(data, action.basis(j)).mult for j in range(action.rank)]
     for i in range(action.base.rank):
         for j in range(action.rank):
-            lhs = trace_object(data, action.basis(j)).mult[i]
+            lhs = columns[j][i]
             rhs = int(phi[i][j])
             if lhs != rhs or lhs != int(tm.T[i, j]):
                 failures.append(
@@ -263,8 +267,6 @@ def _solve_residual_columns(
     Stacks every intertwining relation sum_l M(c_i)[l][j] T[:, l] =
     N(c_i) T[:, j] and solves for the unknown columns over the rationals.
     """
-    from fractions import Fraction
-
     base = action.base
     r, m = base.rank, action.rank
     unknown_cols = [l for l in range(m) if not known[l]]
@@ -326,28 +328,12 @@ def _solve_affine_nonneg(rows, rhs, nvars):
     module graph); the kernel directions are enumerated over the integer
     points where every coordinate stays nonnegative.
     """
-    from fractions import Fraction
-
-    # incremental reduced row echelon basis with early stop at full rank
+    # early stop at full rank: the caller re-verifies every relation
     basis: dict[int, list[Fraction]] = {}  # pivot column -> normalized row + rhs
     for row, b in zip(rows, rhs):
-        work = list(row) + [b]
-        for col, brow in basis.items():
-            if work[col] != 0:
-                f = work[col]
-                work = [a - f * c for a, c in zip(work, brow)]
-        lead = next((c for c in range(nvars) if work[c] != 0), None)
-        if lead is None:
-            if work[nvars] != 0:
-                return None
-            continue
-        inv = Fraction(1) / work[lead]
-        work = [v * inv for v in work]
-        for col, brow in basis.items():
-            if brow[lead] != 0:
-                f = brow[lead]
-                basis[col] = [a - f * c for a, c in zip(brow, work)]
-        basis[lead] = work
+        residue = reduce_row(basis, row + [b], nvars, 0, Fraction(1))
+        if residue is not None and residue[nvars] != 0:
+            return None
         if len(basis) == nvars:
             break
     pivots = sorted(basis)
@@ -383,7 +369,7 @@ def _solve_affine_nonneg(rows, rhs, nvars):
             bound = max(bound, abs(int(particular[c])))
     span = range(-(bound + 1), bound + 2)
     found = None
-    for ts in __import__("itertools").product(span, repeat=len(kernel)):
+    for ts in itertools.product(span, repeat=len(kernel)):
         vals = candidate(ts)
         if vals is None:
             continue

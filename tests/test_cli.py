@@ -114,6 +114,12 @@ def test_dims(capsys):
     assert abs(float(lines[1].split("\t")[1]) - 2**0.5) < 1e-10
 
 
+def test_dims_high_level(capsys):
+    code, out, _ = run(capsys, "dims", "--k", "35")
+    assert code == 0
+    assert len(out.strip().splitlines()) == 36
+
+
 def test_verify_single_package(capsys):
     code, out, _ = run(capsys, "verify", "--builtin", "d4_su2_4")
     assert code == 0

@@ -134,6 +134,16 @@ def test_fp_dimensions_multiplicative():
     assert np.max(np.abs(check - np.outer(dims, dims))) < 1e-10
 
 
+@pytest.mark.parametrize("k", [35, 47, 60])
+def test_fp_dimensions_at_high_level_match_sine_formula(k):
+    # products of dimensions reach the hundreds here; an absolute 1e-10
+    # multiplicativity tolerance used to reject every k >= 35
+    dims = fp_dimensions(verlinde_su2(k))
+    a = np.arange(1, k + 2)
+    expected = np.sin(a * np.pi / (k + 2)) / np.sin(np.pi / (k + 2))
+    assert np.max(np.abs(dims - expected)) < 1e-9
+
+
 def test_transitivity_detection():
     from tracecat.fusion import is_transitive
 

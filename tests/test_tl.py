@@ -1,5 +1,6 @@
 import pytest
 
+from tracecat import tl
 from tracecat.cyclo import scalar_field
 from tracecat.tl import (
     PlanarDiagram,
@@ -212,6 +213,19 @@ def test_identity_suite_small_level():
     names = {c.name for c in report.checks}
     assert "traciator_composition" in names
     assert "quantum_dims_nonzero" in names
+
+
+def test_identity_suite_failure_names_the_exception_type(monkeypatch):
+    def inconsistent(n, field):
+        raise ValueError("inconsistent linear system")
+
+    monkeypatch.setattr(tl, "jw_by_annihilation", inconsistent)
+    report = identity_suite(2, pair_cap=2, triple_cap=2)
+    assert (
+        "FAIL  jw_unique_by_annihilation  "
+        "(error: ValueError: inconsistent linear system)"
+    ) in report.lines()
+    assert sum(line.startswith("FAIL") for line in report.lines()) == 1
 
 
 def test_negated_braiding_still_braids():

@@ -158,6 +158,17 @@ def test_checks_pass_on_shipped_packages(name):
     assert check_forgetful(data).ok
 
 
+def test_check_adjunction_takes_each_trace_column_once(monkeypatch):
+    from tracecat import trace
+
+    data = load_builtin("d10_su2_16")
+    calls = []
+    original = trace.trace_matrix
+    monkeypatch.setattr(trace, "trace_matrix", lambda d: calls.append(1) or original(d))
+    assert check_adjunction(data).ok
+    assert len(calls) == data.action.rank + 1
+
+
 def test_regular_trace_matrix_is_identity():
     a5 = load_builtin("a5_su2_4")
     assert np.array_equal(trace_matrix(a5).T, np.eye(5, dtype=np.int64))
