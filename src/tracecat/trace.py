@@ -59,10 +59,18 @@ def trace_object(
     action = _action_of(data)
     if x.space != f"{action.name}.module" or len(x.mult) != action.rank:
         raise FusionError(f"object over {x.space} does not match module {action.name}")
+    return _tracer(data)(x)
+
+
+def _tracer(data: ModuleTensorData | ModuleAction):
+    """The trace on module objects of `data`, with the trace matrix taken once."""
     T = trace_matrix(data).T
-    return ObjectVec(
-        action.base.name, tuple(int(v) for v in T @ x.as_array())
-    )
+    name = _action_of(data).base.name
+
+    def tr(x: ObjectVec) -> ObjectVec:
+        return ObjectVec(name, tuple(int(v) for v in T @ x.as_array()))
+
+    return tr
 
 
 def trace_of_word(data: ModuleTensorData, word) -> ObjectVec:
@@ -129,12 +137,13 @@ def check_splitting_iso(data: ModuleTensorData) -> ValidationReport:
     action = data.action
     base = data.base
     phi = action.phi_matrix()
+    tr = _tracer(data)
     for j in range(action.rank):
         x = action.basis(j)
-        tx = trace_object(data, x)
+        tx = tr(x)
         for i in range(base.rank):
             phic = action.object_vec(phi[i])
-            lhs = trace_object(data, data.mfuse(x, phic))
+            lhs = tr(data.mfuse(x, phic))
             rhs = fuse(base, tx, base.basis(i))
             if lhs != rhs:
                 failures.append(
@@ -149,13 +158,12 @@ def check_traciator_iso(data: ModuleTensorData) -> ValidationReport:
     failures: list[str] = []
     action = data.action
     m = action.rank
+    tr = _tracer(data)
     for j in range(m):
         x = action.basis(j)
         for l in range(m):
             y = action.basis(l)
-            lhs = trace_of_word(data, [x, y])
-            rhs = trace_of_word(data, [y, x])
-            if lhs != rhs:
+            if tr(data.mfuse(x, y)) != tr(data.mfuse(y, x)):
                 failures.append(
                     f"trace symmetry fails at ({action.msimples[j]}, "
                     f"{action.msimples[l]})"
@@ -164,8 +172,8 @@ def check_traciator_iso(data: ModuleTensorData) -> ValidationReport:
         for l in range(m):
             for s in range(m):
                 x, y, z = action.basis(j), action.basis(l), action.basis(s)
-                lhs = trace_object(data, data.mfuse(x, data.mfuse(y, z)))
-                rhs = trace_object(data, data.mfuse(data.mfuse(z, x), y))
+                lhs = tr(data.mfuse(x, data.mfuse(y, z)))
+                rhs = tr(data.mfuse(data.mfuse(z, x), y))
                 if lhs != rhs:
                     failures.append(
                         "rotated three-factor trace fails at "

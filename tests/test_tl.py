@@ -1,9 +1,12 @@
+from collections import Counter
+
 import pytest
 
 from tracecat import tl
 from tracecat.cyclo import scalar_field
 from tracecat.tl import (
     PlanarDiagram,
+    TLMorphism,
     all_diagrams,
     braid_blocks,
     braiding,
@@ -265,3 +268,153 @@ def test_traciator_accepts_projectors_directly():
     assert compose(minus, plus) == tensor(x.morphism, y.morphism)
     with pytest.raises(ValueError):
         traciator_self_action(x, y, "?")
+
+
+# -- the kernel: interned diagrams, O(n) planarity, local crossings -------------
+
+
+def _chord_test(nb, nt, pairing):
+    """The quadratic reference: no two chords interleave in disk order."""
+
+    def cpos(p):
+        return p if p < nb else nb + (nt - 1 - (p - nb))
+
+    chords = [tuple(sorted((cpos(p), cpos(q)))) for p, q in enumerate(pairing) if p < q]
+    return not any(
+        a < c < b < d or c < a < d < b
+        for i, (a, b) in enumerate(chords)
+        for c, d in chords[i + 1 :]
+    )
+
+
+def _involutions(points):
+    """Every fixed-point-free involution of `points`, as {point: partner}."""
+    if not points:
+        yield {}
+        return
+    first, rest = points[0], points[1:]
+    for j, mate in enumerate(rest):
+        for sub in _involutions(rest[:j] + rest[j + 1 :]):
+            yield {**sub, first: mate, mate: first}
+
+
+def test_linear_planarity_check_matches_chord_test():
+    checked = 0
+    for n in range(0, 11, 2):
+        for inv in _involutions(tuple(range(n))):
+            pairing = tuple(inv[p] for p in range(n))
+            for nb in range(n + 1):
+                nt = n - nb
+                assert tl._is_noncrossing(nb, nt, pairing) == _chord_test(nb, nt, pairing)
+                checked += 1
+    # (n-1)!! involutions of n points, each under n + 1 splits
+    involutions = {0: 1, 2: 1, 4: 3, 6: 15, 8: 105, 10: 945}
+    assert checked == sum((n + 1) * c for n, c in involutions.items())
+
+
+def _single_diagrams(field, max_top):
+    for nb in range(5):
+        for nt in range(max_top + 1):
+            for d in all_diagrams(nb, nt):
+                yield TLMorphism(field, nb, nt, {d: field.q_half(1)})
+
+
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("exact", [True, False])
+def test_local_crossing_equals_glued_braiding(k, exact):
+    field = scalar_field(k, exact=exact)
+    for m in _single_diagrams(field, 4):
+        n = m.n_top
+        for over in (True, False):
+            for pos in range(n - 1):
+                local = tl._apply_block_crossings(m, pos, 1, 1, over)
+                glued = compose(embed(braiding(field, over), pos, n - 2 - pos), m)
+                assert local == glued
+                if exact:
+                    assert local.terms == glued.terms
+
+
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("exact", [True, False])
+def test_local_caps_equal_glued_caps(k, exact):
+    field = scalar_field(k, exact=exact)
+    for m in _single_diagrams(field, 6):
+        n = m.n_top
+        for width in range(1, n // 2 + 1):
+            for start in range(n - 2 * width + 1):
+                local = tl._cap_off(m, start, width)
+                glued = compose(embed(cap(field, width), start, n - start - 2 * width), m)
+                assert local == glued
+                if exact:
+                    assert local.terms == glued.terms
+
+
+def test_interned_diagram_equals_public_one():
+    for nb, nt, pairing in [(2, 2, (1, 0, 3, 2)), (0, 6, (5, 2, 1, 4, 3, 0)), (0, 0, ())]:
+        interned = tl._diagram(nb, nt, pairing)
+        public = PlanarDiagram(nb, nt, pairing)
+        assert interned is tl._diagram(nb, nt, pairing)
+        assert interned is not public
+        assert interned == public and hash(interned) == hash(public)
+        assert {interned: 1}[public] == 1
+
+
+@pytest.mark.parametrize(
+    "nb, nt, pairing",
+    [
+        (1, 2, (1, 0, 2)),  # odd
+        (2, 2, (1, 0)),  # wrong length
+        (2, 2, (1, 2, 3, 0)),  # not an involution
+        (2, 2, (0, 3, 2, 1)),  # fixed point
+        (2, 2, (1, 0, 3, 4)),  # partner out of range
+        (2, 2, (3, 2, 1, 0)),  # crossing chords
+    ],
+)
+def test_every_construction_path_rejects_bad_pairings(nb, nt, pairing):
+    tl._diagram(2, 2, (1, 0, 3, 2))  # a valid diagram already interned
+    with pytest.raises(ValueError):
+        PlanarDiagram(nb, nt, pairing)
+    with pytest.raises(ValueError):
+        tl._diagram(nb, nt, pairing)
+
+
+def test_crossings_and_curls_glue_nothing(monkeypatch):
+    def no_glue(top, bottom):
+        raise AssertionError("full-width gluing")
+
+    monkeypatch.setattr(tl, "_glue", no_glue)
+    assert braid_blocks.__wrapped__(F, 3, 3).terms
+    curl = tl._curl_middle.__wrapped__(F, 3, True, "right")
+    assert (curl.n_bottom, curl.n_top) == (3, 3) and curl.terms
+
+
+def _clear_tl_caches():
+    for obj in vars(tl).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+    tl._DIAGRAMS.clear()
+    tl._GLUE_CACHE.clear()
+
+
+def test_identity_suite_validates_each_pairing_once(monkeypatch):
+    validated = Counter()
+    original = PlanarDiagram.__post_init__
+
+    def counting(self):
+        validated[(self.n_bottom, self.n_top, self.pairing)] += 1
+        original(self)
+
+    _clear_tl_caches()
+    monkeypatch.setattr(PlanarDiagram, "__post_init__", counting)
+    assert identity_suite(2).ok
+    assert validated and max(validated.values()) == 1
+    assert len(validated) == len(tl._DIAGRAMS)
+
+
+def test_diagram_tables_stay_within_their_bound(monkeypatch):
+    _clear_tl_caches()
+    monkeypatch.setattr(tl, "_TABLE_BOUND", 10)
+    for n in (2, 3, 4):
+        assert jw_by_annihilation(n, F) == jones_wenzl(n, F).morphism
+        assert len(tl._DIAGRAMS) <= 10 and len(tl._GLUE_CACHE) <= 10
+    _clear_tl_caches()

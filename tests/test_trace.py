@@ -242,3 +242,15 @@ def test_bumped_trace_matrix_detected():
     assert not np.array_equal(bumped, phi)
     witness = np.argwhere(bumped != phi)
     assert witness.tolist() == [[0, 1]]
+
+
+@pytest.mark.parametrize("check", [check_splitting_iso, check_traciator_iso])
+def test_trace_checks_take_the_trace_matrix_once(monkeypatch, check):
+    from tracecat import trace
+
+    data = load_builtin("d10_su2_16")
+    calls = []
+    original = trace.trace_matrix
+    monkeypatch.setattr(trace, "trace_matrix", lambda d: calls.append(1) or original(d))
+    assert check(data).ok
+    assert len(calls) == 1
