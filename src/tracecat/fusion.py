@@ -2,9 +2,12 @@
 
 A FusionRing stores the structure tensor N[i][j][k] = multiplicity of the
 simple k inside i (x) j, together with the unit index and the duality
-involution.  All arithmetic is exact integer arithmetic (numpy int64);
-only fp_dimensions works in floating point, and its output is used for
-sanity checks and search pruning, never for exact decisions.
+involution.  Structure constants are stored as numpy int64.  The exact
+checks multiply them as float64 matrices only where every partial sum of
+the contraction is an integer below 2**53 in magnitude, so each is exact,
+and as Python ints (dtype=object) past that bound.  Only fp_dimensions
+works in floating point proper, and its output is used for sanity checks
+and search pruning, never for exact decisions.
 
 Simple labels are 1-based strings ("1".."17", "9'") so tables read off
 against the standard ADE conventions; indices are 0-based internally.
@@ -16,9 +19,31 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# Highest SU(2) level built: the dense checks hold O(r**3) entries and do
+# O(r**5) work, r = k + 1.
+MAX_LEVEL = 100
+
 
 class FusionError(ValueError):
     """Raised for structurally invalid fusion data."""
+
+
+def _exact_dtype(*sums: tuple) -> type:
+    """A dtype in which integer contractions are computed exactly.
+
+    Each sum is (length, factor, factor, ...): sums of `length` products of
+    one entry of each factor array.  Every partial sum of such a sum is at
+    most length * prod(max|factor|) in magnitude (taken in Python ints), so
+    float64 holds each one exactly while that bound is below 2**53; past
+    it, Python ints (dtype=object) do.
+    """
+    for length, *factors in sums:
+        bound = length
+        for f in factors:
+            bound *= max(int(f.max()), -int(f.min())) if f.size else 0
+        if bound >= 2**53:
+            return object
+    return np.float64
 
 
 @dataclass(frozen=True)
@@ -127,14 +152,15 @@ def verlinde_su2(k: int) -> FusionRing:
     """
     if k < 0:
         raise FusionError("level must be nonnegative")
+    if k > MAX_LEVEL:
+        raise FusionError(f"level {k} exceeds the maximum level {MAX_LEVEL}")
     r = k + 1
-    N = np.zeros((r, r, r), dtype=np.int64)
-    for i in range(r):
-        for j in range(r):
-            a, b = i + 1, j + 1
-            top = min(a + b - 1, 2 * k + 3 - a - b)
-            for c in range(abs(a - b) + 1, top + 1, 2):
-                N[i, j, c - 1] = 1
+    a, b, c = np.ogrid[1 : r + 1, 1 : r + 1, 1 : r + 1]
+    N = (
+        (abs(a - b) + 1 <= c)
+        & (c <= np.minimum(a + b - 1, 2 * k + 3 - a - b))
+        & ((a + b + c) % 2 == 1)
+    ).astype(np.int64)
     return FusionRing(
         name=f"su2_{k}",
         labels=tuple(str(n) for n in range(1, r + 1)),
@@ -160,7 +186,13 @@ class ValidationReport:
 
 
 def validate_ring(ring: FusionRing) -> ValidationReport:
-    """Check unitality, associativity, and the based-ring duality axioms."""
+    """Check unitality, associativity, and the based-ring duality axioms.
+
+    Associativity is compared one left factor i at a time, as two matrix
+    products in the dtype `_exact_dtype` picks (float64 while every partial
+    sum stays below 2**53, Python ints past it), so no r**4 array is built.
+    The first failure reported is the first (i, l, j, k) in index order.
+    """
     N = ring.N
     r = ring.rank
     failures: list[str] = []
@@ -173,14 +205,18 @@ def validate_ring(ring: FusionRing) -> ValidationReport:
         i, k = np.argwhere(N[:, ring.unit, :] != eye)[0]
         failures.append(f"unitality fails at N[{ring.labels[i]}][1][{ring.labels[k]}]")
 
-    lhs = np.einsum("ijm,mlk->iljk", N, N)
-    rhs = np.einsum("jlm,imk->iljk", N, N)
-    if not np.array_equal(lhs, rhs):
-        i, l, j, k = np.argwhere(lhs != rhs)[0]
-        failures.append(
-            "associativity fails at "
-            f"({ring.labels[i]},{ring.labels[j]},{ring.labels[l]}) -> {ring.labels[k]}"
-        )
+    exact = N.astype(_exact_dtype((r, N, N)))
+    for i in range(r):
+        # [l, j, k] entries of (i.j).l and i.(j.l)
+        lhs = (exact[i] @ exact.reshape(r, r * r)).reshape(r, r, r).transpose(1, 0, 2)
+        rhs = (exact.reshape(r * r, r) @ exact[i]).reshape(r, r, r).transpose(1, 0, 2)
+        if not np.array_equal(lhs, rhs):
+            l, j, k = np.argwhere(lhs != rhs)[0]
+            failures.append(
+                "associativity fails at "
+                f"({ring.labels[i]},{ring.labels[j]},{ring.labels[l]}) -> {ring.labels[k]}"
+            )
+            break
 
     dual_delta = np.zeros((r, r), dtype=np.int64)
     for i in range(r):

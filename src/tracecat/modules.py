@@ -25,6 +25,7 @@ from .fusion import (
     FusionRing,
     ObjectVec,
     ValidationReport,
+    _exact_dtype,
     is_transitive,
     perron_vector,
     validate_ring,
@@ -104,22 +105,34 @@ class ModuleAction:
 
 
 def validate_action(action: ModuleAction) -> ValidationReport:
+    """Check nonnegativity, the unit, module associativity and connectivity.
+
+    M(i) M(j) = sum_k N[i][j][k] M(k) is compared one i at a time, as matrix
+    products in the dtype `fusion._exact_dtype` picks (float64 while every
+    partial sum stays below 2**53, Python ints past it), so no r**2 m**2
+    array is built.  The first failure is the first (i, j, a, c).
+    """
     failures: list[str] = []
     base, mats = action.base, action.mats
-    m = action.rank
+    r, m = base.rank, action.rank
     if np.min(mats) < 0:
         i, j, l = np.argwhere(mats < 0)[0]
         failures.append(f"negative multiplicity in action of {base.labels[i]}")
     if not np.array_equal(mats[base.unit], np.eye(m, dtype=np.int64)):
         failures.append("unit of the base does not act as the identity")
-    lhs = np.einsum("iab,jbc->ijac", mats, mats)
-    rhs = np.einsum("ijk,kac->ijac", base.N, mats)
-    if not np.array_equal(lhs, rhs):
-        i, j, a, c = np.argwhere(lhs != rhs)[0]
-        failures.append(
-            "module associativity fails at "
-            f"M({base.labels[i]}) M({base.labels[j]}) on column {action.msimples[c]}"
-        )
+    dtype = _exact_dtype((m, mats, mats), (r, base.N, mats))
+    exact, N = mats.astype(dtype), base.N.astype(dtype)
+    for i in range(r):
+        # [j, a, c] entries of M(i) M(j) and of sum_k N[i][j][k] M(k)
+        lhs = exact[i] @ exact
+        rhs = (N[i] @ exact.reshape(r, m * m)).reshape(r, m, m)
+        if not np.array_equal(lhs, rhs):
+            j, a, c = np.argwhere(lhs != rhs)[0]
+            failures.append(
+                "module associativity fails at "
+                f"M({base.labels[i]}) M({base.labels[j]}) on column {action.msimples[c]}"
+            )
+            break
     if not is_transitive(mats):
         failures.append("action graph is not connected")
     return ValidationReport(f"action {action.name}", failures)
@@ -280,16 +293,22 @@ def validate_tensor_data(data: ModuleTensorData) -> ValidationReport:
     ring_report = validate_ring(data.module_ring())
     failures += ring_report.failures
     phi = data.action.phi_matrix()
-    mats = data.action.mats
-    compat = np.einsum("iz,zxw->iwx", phi, data.mN)
+    mats, mN, N = data.action.mats, data.mN, data.base.N
+    r, m = phi.shape
+    dtype = _exact_dtype((m * m, phi, phi, mN), (r, N, phi))
+    phi, mN, N = phi.astype(dtype), mN.astype(dtype), N.astype(dtype)
+    # [i, x, w] entries of Phi(c_i) (x) x; one more product with phi gives
+    # Phi(c_i) (x) Phi(c_j) without a loop over x and y together
+    free = (phi @ mN.reshape(m, m * m)).reshape(r, m, m)
+    compat = free.transpose(0, 2, 1)
     if not np.array_equal(compat, mats):
         i, w, x = np.argwhere(compat != mats)[0]
         failures.append(
             "free-module compatibility fails: "
             f"Phi({data.base.labels[i]}) (x) {data.msimples[x]}"
         )
-    hom_lhs = np.einsum("ix,jy,xyw->ijw", phi, phi, data.mN)
-    hom_rhs = np.einsum("ijk,kw->ijw", data.base.N, phi)
+    hom_lhs = phi @ free
+    hom_rhs = (N.reshape(r * r, r) @ phi).reshape(r, r, m)
     if not np.array_equal(hom_lhs, hom_rhs):
         i, j, w = np.argwhere(hom_lhs != hom_rhs)[0]
         failures.append(

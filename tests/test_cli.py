@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from tracecat import cli
 from tracecat.modules import AmbiguousFusion
@@ -118,6 +119,26 @@ def test_dims_high_level(capsys):
     code, out, _ = run(capsys, "dims", "--k", "35")
     assert code == 0
     assert len(out.strip().splitlines()) == 36
+
+
+def test_dims_at_the_maximum_level(capsys):
+    code, out, _ = run(capsys, "dims", "--k", "100")
+    assert code == 0
+    assert len(out.strip().splitlines()) == 101
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dims", "--k", "101"),
+        ("fuse", "--k", "101", "--word", "2"),
+        ("trace", "--builtin", "a102_su2_101"),
+    ],
+)
+def test_levels_above_the_maximum_exit_one(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: level 101 exceeds the maximum level 100\n"
 
 
 def test_verify_single_package(capsys):

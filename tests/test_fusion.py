@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracecat.fusion import (
+    MAX_LEVEL,
     FusionError,
     FusionRing,
     ObjectVec,
@@ -12,6 +15,72 @@ from tracecat.fusion import (
     validate_ring,
     verlinde_su2,
 )
+from tracecat.modules import ModuleTensorData
+from tracecat.packages import BUILTIN_FILES, load_builtin
+
+
+def clebsch_gordan_loop(k: int) -> np.ndarray:
+    """The truncated angular-momentum rule, one (a, b) pair at a time."""
+    r = k + 1
+    N = np.zeros((r, r, r), dtype=np.int64)
+    for i in range(r):
+        for j in range(r):
+            a, b = i + 1, j + 1
+            top = min(a + b - 1, 2 * k + 3 - a - b)
+            for c in range(abs(a - b) + 1, top + 1, 2):
+                N[i, j, c - 1] = 1
+    return N
+
+
+def einsum_validate_ring(ring: FusionRing) -> list[str]:
+    """The failures of validate_ring, built from two dense r**4 arrays."""
+    N = ring.N
+    r = ring.rank
+    failures: list[str] = []
+    eye = np.eye(r, dtype=np.int64)
+
+    if not np.array_equal(N[ring.unit], eye):
+        j, k = np.argwhere(N[ring.unit] != eye)[0]
+        failures.append(f"unitality fails at N[1][{ring.labels[j]}][{ring.labels[k]}]")
+    if not np.array_equal(N[:, ring.unit, :], eye):
+        i, k = np.argwhere(N[:, ring.unit, :] != eye)[0]
+        failures.append(f"unitality fails at N[{ring.labels[i]}][1][{ring.labels[k]}]")
+
+    lhs = np.einsum("ijm,mlk->iljk", N, N)
+    rhs = np.einsum("jlm,imk->iljk", N, N)
+    if not np.array_equal(lhs, rhs):
+        i, l, j, k = np.argwhere(lhs != rhs)[0]
+        failures.append(
+            "associativity fails at "
+            f"({ring.labels[i]},{ring.labels[j]},{ring.labels[l]}) -> {ring.labels[k]}"
+        )
+
+    dual_delta = np.zeros((r, r), dtype=np.int64)
+    for i in range(r):
+        dual_delta[i, ring.dual[i]] = 1
+    if not np.array_equal(N[:, :, ring.unit], dual_delta):
+        i, j = np.argwhere(N[:, :, ring.unit] != dual_delta)[0]
+        failures.append(
+            f"duality normalization fails at N[{ring.labels[i]}][{ring.labels[j]}][1]"
+        )
+
+    d = list(ring.dual)
+    twisted = N[np.ix_(d, d, d)].transpose(1, 0, 2)
+    if not np.array_equal(N, twisted):
+        i, j, k = np.argwhere(N != twisted)[0]
+        failures.append(
+            "duality compatibility fails at "
+            f"N[{ring.labels[i]}][{ring.labels[j]}][{ring.labels[k]}]"
+        )
+    return failures
+
+
+def perturb(N: np.ndarray, rng: np.random.Generator, entries: int) -> np.ndarray:
+    """A copy of N with `entries` random entries moved by -1, +1 or +2."""
+    out = np.array(N)
+    for _ in range(entries):
+        out[tuple(rng.integers(0, n) for n in out.shape)] += rng.choice([-1, 1, 2])
+    return out
 
 
 def chebyshev_oracle(k: int) -> np.ndarray:
@@ -134,7 +203,7 @@ def test_fp_dimensions_multiplicative():
     assert np.max(np.abs(check - np.outer(dims, dims))) < 1e-10
 
 
-@pytest.mark.parametrize("k", [35, 47, 60])
+@pytest.mark.parametrize("k", range(35, 61))
 def test_fp_dimensions_at_high_level_match_sine_formula(k):
     # products of dimensions reach the hundreds here; an absolute 1e-10
     # multiplicativity tolerance used to reject every k >= 35
@@ -166,3 +235,72 @@ def test_fuse_simple_pair_su2_4():
     ring = verlinde_su2(4)
     out = fuse(ring, ring.basis("2"), ring.basis("4"))
     assert out.mult == (0, 0, 1, 0, 1)  # 2 (x) 4 = 3 + 5
+
+
+def test_verlinde_matches_clebsch_gordan_loop():
+    for k in range(61):
+        assert np.array_equal(verlinde_su2(k).N, clebsch_gordan_loop(k)), k
+
+
+def test_verlinde_rejects_levels_above_the_bound():
+    assert verlinde_su2(MAX_LEVEL).rank == MAX_LEVEL + 1
+    with pytest.raises(FusionError, match=f"level {MAX_LEVEL + 1} exceeds"):
+        verlinde_su2(MAX_LEVEL + 1)
+
+
+def builtin_rings() -> list[FusionRing]:
+    rings = []
+    for name in BUILTIN_FILES + ("a5_su2_4",):
+        data = load_builtin(name)
+        rings.append(data.base)
+        if isinstance(data, ModuleTensorData):
+            rings.append(data.module_ring())
+    return rings
+
+
+def test_validate_ring_matches_einsum_reference_on_builtins():
+    for ring in builtin_rings():
+        assert validate_ring(ring).failures == einsum_validate_ring(ring) == []
+
+
+@pytest.mark.parametrize("entries", [1, 2])
+def test_validate_ring_matches_einsum_reference_on_perturbations(entries):
+    rng = np.random.default_rng(entries)
+    broken = 0
+    for k in range(8):
+        ring = verlinde_su2(k)
+        for _ in range(20):
+            N = perturb(ring.N, rng, entries)
+            bad = FusionRing("bad", ring.labels, ring.unit, ring.dual, N)
+            expected = einsum_validate_ring(bad)
+            assert validate_ring(bad).failures == expected
+            broken += any(f.startswith("associativity") for f in expected)
+    assert broken >= 40  # most witnesses compared are associativity witnesses
+
+
+def test_validate_ring_is_exact_past_float64():
+    # x.y = p u, u.x = q z, y.x = s v, x.v = t z and every other product of
+    # non-units zero: (x.y).x = pq z and x.(y.x) = st z are the only
+    # products of three that differ, by 1 at 2**60, below float64 resolution
+    p, q, s, t = 2**30 + 1, 2**30 - 1, 2**30, 2**30
+    labels = ("1", "x", "y", "u", "v", "z")
+    x, y, u, v, z = range(1, 6)
+    N = np.zeros((6, 6, 6), dtype=np.int64)
+    N[0] = N[:, 0, :] = np.eye(6, dtype=np.int64)
+    N[x, y, u], N[u, x, z], N[y, x, v], N[x, v, z] = p, q, s, t
+    assert float(p) * float(q) == float(s) * float(t)
+    ring = FusionRing("wide", labels, 0, tuple(range(6)), N)
+    failures = validate_ring(ring).failures
+    assert "associativity fails at (x,y,x) -> z" in failures
+    assert failures == einsum_validate_ring(ring)
+
+
+def test_validate_ring_memory_is_cubic_in_the_rank():
+    ring = verlinde_su2(60)
+    tracemalloc.start()
+    try:
+        assert validate_ring(ring).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20  # the two r**4 arrays alone took 221 MB

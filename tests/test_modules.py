@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from test_fusion import einsum_validate_ring, perturb
 
-from tracecat.fusion import verlinde_su2
+from tracecat.fusion import is_transitive, verlinde_su2
 from tracecat.modules import (
     AmbiguousFusion,
     ModuleAction,
     ModuleError,
+    ModuleTensorData,
     NoConsistentFusion,
     action_automorphisms,
     chebyshev_action,
@@ -14,7 +18,54 @@ from tracecat.modules import (
     validate_action,
     validate_tensor_data,
 )
-from tracecat.packages import ade_action, dynkin_graph
+from tracecat.packages import BUILTIN_FILES, ade_action, dynkin_graph, load_builtin
+
+
+def einsum_validate_action(action: ModuleAction) -> list[str]:
+    """The failures of validate_action, built from two dense r**2 m**2 arrays."""
+    failures: list[str] = []
+    base, mats = action.base, action.mats
+    m = action.rank
+    if np.min(mats) < 0:
+        i, j, l = np.argwhere(mats < 0)[0]
+        failures.append(f"negative multiplicity in action of {base.labels[i]}")
+    if not np.array_equal(mats[base.unit], np.eye(m, dtype=np.int64)):
+        failures.append("unit of the base does not act as the identity")
+    lhs = np.einsum("iab,jbc->ijac", mats, mats)
+    rhs = np.einsum("ijk,kac->ijac", base.N, mats)
+    if not np.array_equal(lhs, rhs):
+        i, j, a, c = np.argwhere(lhs != rhs)[0]
+        failures.append(
+            "module associativity fails at "
+            f"M({base.labels[i]}) M({base.labels[j]}) on column {action.msimples[c]}"
+        )
+    if not is_transitive(mats):
+        failures.append("action graph is not connected")
+    return failures
+
+
+def einsum_validate_tensor_data(data: ModuleTensorData) -> list[str]:
+    """The failures of validate_tensor_data, with the three-operand einsum."""
+    failures = einsum_validate_action(data.action)
+    failures += einsum_validate_ring(data.module_ring())
+    phi = data.action.phi_matrix()
+    mats = data.action.mats
+    compat = np.einsum("iz,zxw->iwx", phi, data.mN)
+    if not np.array_equal(compat, mats):
+        i, w, x = np.argwhere(compat != mats)[0]
+        failures.append(
+            "free-module compatibility fails: "
+            f"Phi({data.base.labels[i]}) (x) {data.msimples[x]}"
+        )
+    hom_lhs = np.einsum("ix,jy,xyw->ijw", phi, phi, data.mN)
+    hom_rhs = np.einsum("ijk,kw->ijw", data.base.N, phi)
+    if not np.array_equal(hom_lhs, hom_rhs):
+        i, j, w = np.argwhere(hom_lhs != hom_rhs)[0]
+        failures.append(
+            "free-module map is not a ring homomorphism at "
+            f"({data.base.labels[i]}, {data.base.labels[j]})"
+        )
+    return failures
 
 
 def test_chebyshev_d4_level3_matrix():
@@ -210,3 +261,60 @@ def test_classification_scan():
             except NoConsistentFusion:
                 pass
         assert found == units, (kind, level, found)
+
+
+def test_validation_matches_einsum_reference_on_builtins():
+    for name in BUILTIN_FILES + ("a5_su2_4",):
+        data = load_builtin(name)
+        if isinstance(data, ModuleTensorData):
+            assert validate_tensor_data(data).failures == []
+            assert einsum_validate_tensor_data(data) == []
+            data = data.action
+        assert validate_action(data).failures == einsum_validate_action(data) == []
+
+
+@pytest.mark.parametrize("entries", [1, 2])
+def test_validate_action_matches_einsum_reference_on_perturbations(entries):
+    rng = np.random.default_rng(10 + entries)
+    broken = 0
+    for k in range(8):
+        action = regular_module(verlinde_su2(k)).action
+        for _ in range(20):
+            mats = perturb(action.mats, rng, entries)
+            bad = ModuleAction("bad", action.base, action.base_spec, action.msimples, mats)
+            expected = einsum_validate_action(bad)
+            assert validate_action(bad).failures == expected
+            broken += any(f.startswith("module associativity") for f in expected)
+    assert broken >= 40  # most witnesses compared are associativity witnesses
+
+
+@pytest.mark.parametrize("entries", [1, 2])
+def test_validate_tensor_data_matches_einsum_reference_on_perturbations(entries):
+    rng = np.random.default_rng(20 + entries)
+    seen: list[str] = []
+    for k in range(8):
+        data = regular_module(verlinde_su2(k))  # unit module 0
+        m = data.action.rank
+        for _ in range(20):
+            # one stack holding the action and the module fusion tensor
+            both = perturb(np.concatenate([data.action.mats, data.mN]), rng, entries)
+            action = ModuleAction(
+                "bad", data.base, data.action.base_spec, data.msimples, both[:m], 0
+            )
+            bad = ModuleTensorData(action, both[m:], data.mdual)
+            expected = einsum_validate_tensor_data(bad)
+            assert validate_tensor_data(bad).failures == expected
+            seen += expected
+    assert any(f.startswith("free-module compatibility fails") for f in seen)
+    assert any(f.startswith("free-module map is not a ring homomorphism") for f in seen)
+
+
+def test_validate_action_memory_is_cubic_in_the_rank():
+    action = regular_module(verlinde_su2(60)).action
+    tracemalloc.start()
+    try:
+        assert validate_action(action).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20  # the two r**2 m**2 arrays alone took 221 MB
