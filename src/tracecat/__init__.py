@@ -64,7 +64,6 @@ from .packages import (
     save_package,
 )
 from .tl import (
-    JWProjector,
     PlanarDiagram,
     SuiteReport,
     TLMorphism,

@@ -56,7 +56,7 @@ def candidate_from_word(data: ModuleTensorData, word, label: str) -> AlgebraCand
 def candidate_from_end(
     action: ModuleAction | ModuleTensorData, x: ObjectVec, label: str
 ) -> AlgebraCandidate:
-    act = action.action if isinstance(action, ModuleTensorData) else action
+    act = action.action
     return AlgebraCandidate(
         internal_end(act, x), f"internal_end({act.name}, {label})", act.base.unit
     )
@@ -83,7 +83,7 @@ def enumerate_internal_ends(
     action: ModuleAction | ModuleTensorData, max_total_mult: int
 ) -> Catalog:
     """All module objects of total multiplicity <= bound, one per symmetry orbit."""
-    act = action.action if isinstance(action, ModuleTensorData) else action
+    act = action.action
     if max_total_mult < 1:
         raise ModuleError("the multiplicity bound must be at least 1")
     perms = action_automorphisms(act)

@@ -182,7 +182,7 @@ def _emit(vec: ObjectVec, labels, fmt: str) -> str:
 
 def cmd_trace(args) -> int:
     data = _load(args)
-    action = data.action if isinstance(data, ModuleTensorData) else data
+    action = data.action
     mspace = f"{action.name}.module"
     if args.word:
         if not isinstance(data, ModuleTensorData):
@@ -202,7 +202,7 @@ def cmd_trace(args) -> int:
 
 def cmd_end(args) -> int:
     data = _load(args)
-    action = data.action if isinstance(data, ModuleTensorData) else data
+    action = data.action
     mspace = f"{action.name}.module"
     if args.object:
         obj = parse_object(args.object, action.msimples, mspace)
@@ -257,7 +257,7 @@ def cmd_dims(args) -> int:
         labels = ring.labels
     else:
         data = _load(args)
-        action = data.action if isinstance(data, ModuleTensorData) else data
+        action = data.action
         dims = action.module_dims()
         labels = action.msimples
     for label, value in zip(labels, dims):
@@ -288,7 +288,7 @@ def cmd_verify(args) -> int:
         )
         for name in names:
             data = load_package(args.package) if name is None else load_builtin(name)
-            action = data.action if isinstance(data, ModuleTensorData) else data
+            action = data.action
             record(validate_ring(action.base))
             record(validate_action(action))
             if isinstance(data, ModuleTensorData):
@@ -317,7 +317,7 @@ def cmd_verify(args) -> int:
 
 def cmd_derive(args) -> int:
     data = _load(args)
-    action = data.action if isinstance(data, ModuleTensorData) else data
+    action = data.action
     unit = args.unit if args.unit else None
     try:
         result = derive_module_fusion(action, unit_module=unit)

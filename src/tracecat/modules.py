@@ -8,10 +8,14 @@ Chebyshev recursion M(n+1) = M(2) M(n) - M(n-1).
 A ModuleTensorData adds the module fusion tensor mN (making the module
 simples a based ring in their own right) and the induced ring map of the
 free-module functor.  derive_module_fusion reconstructs mN from the action
-alone: products with free objects are forced linearly, the rest is found
-by exhaustive nonnegative integer search constrained by associativity,
-duality, unitality, and dimension additivity (the last only as a pruning
-bound), quotienting solutions by unit-fixing symmetries of the graph.
+alone.  Compatibility with the free-module functor is one linear system per
+pair of module simples, reduced once to equations that each force a cell
+when only that cell is unknown.  A worklist of newly assigned cells carries
+these forcings, the unit, the dimension sums of each row and, once the unit
+column has fixed the duality, the based-ring symmetries; an exhaustive
+search over the cells left free, with every candidate validated as a based
+ring, finds all solutions, which are quotiented by the unit-fixing
+symmetries of the graph.
 """
 
 from __future__ import annotations
@@ -69,6 +73,12 @@ class ModuleAction:
             and self.unit_module == other.unit_module
             and np.array_equal(self.mats, other.mats)
         )
+
+    @property
+    def action(self) -> "ModuleAction":
+        """This action, so that code taking a ModuleAction or a
+        ModuleTensorData reads `.action` from either."""
+        return self
 
     @property
     def rank(self) -> int:
@@ -458,20 +468,32 @@ def _quotient_by_symmetry(
 
 
 class _FusionSolver:
-    """Exhaustive search for mN with linear forcing and constraint propagation.
+    """Exhaustive search for mN, with propagation driven by a worklist.
 
     For each pair (x, w), the values u[z] = mN[z][x][w] satisfy the linear
-    system  sum_z phi[i][z] u[z] = mats[i][w][x]; row reduction expresses
-    the pivot rows as affine functions of the kernel (free) rows.  Once the
-    unit column fixes the dual involution, values propagate through the
-    based-ring symmetries
+    system  sum_z phi[i][z] u[z] = mats[i][w][x].  Row reduction of phi turns
+    it into one equation per pivot row t,
+
+        u[z_t] + sum_f R[t][f] u[f] = (E b)[t]      (f over the free columns),
+
+    built once by `solve`, and every cell keeps a watch list of the
+    equations it appears in.  One forcing rule closes the values: an
+    equation with a single unknown cell fixes it (to a nonnegative integer
+    within `_cell_bound`), and an equation with none must hold.  Every
+    (z, x) row keeps a running sum of mN[z][x][w] d[w], which for any valid
+    mN is d[z] d[x].  Once the unit column fixes the dual involution, values
+    also propagate through the based-ring symmetries
 
         mN[a][b][c] = mN[b*][a*][c*]      (duality compatibility)
         mN[a][b][c] = mN[b][c*][a*]       (cyclic Frobenius relation)
 
-    which cuts the remaining search to a handful of cells even at rank 10.
     The cyclic relation is a consequence of associativity together with the
     duality axioms, so using it for propagation loses no solutions.
+    Propagation revisits only the equations and images of the cells
+    assigned since its last call.  The search first tries 0 and 1 on the
+    free cells of the unit column, which fixes the duality, then every value
+    up to the bound on the remaining free cells; a branch copies the values
+    and the row sums.
     """
 
     def __init__(self, action: ModuleAction, phi: np.ndarray, unit: int):
@@ -500,7 +522,6 @@ class _FusionSolver:
             if residue is not None:
                 kernel.append(residue[self.m :])
         self.pivots = sorted(basis)
-        self.pivot_pos = {c: t for t, c in enumerate(self.pivots)}
         self.free_cols = [c for c in range(self.m) if c not in basis]
         self.reduced = [basis[c][: self.m] for c in self.pivots]
         self.transform = [basis[c][self.m :] for c in self.pivots]
@@ -518,139 +539,117 @@ class _FusionSolver:
 
     def solve(self) -> list[np.ndarray]:
         m = self.m
-        self.const: dict[tuple[int, int], list[Fraction]] = {}
+        self.equations: list[tuple[list, Fraction]] = []
+        self.watch: dict[tuple[int, int, int], list[int]] = {}
         for x in range(m):
             for w in range(m):
                 b = [int(self.mats[i][w][x]) for i in range(self.mats.shape[0])]
                 red = self._reduce_rhs(b)
                 if red is None:
                     return []
-                self.const[(x, w)] = red
+                for row, rhs in zip(self.reduced, red):
+                    terms = [((c, x, w), row[c]) for c in range(m) if row[c] != 0]
+                    for cell, _ in terms:
+                        self.watch.setdefault(cell, []).append(len(self.equations))
+                    self.equations.append((terms, rhs))
 
-        base: dict[tuple[int, int, int], int] = {}
+        vals: dict[tuple[int, int, int], int] = {}
+        sums: dict[tuple[int, int], tuple[float, int]] = {}
         for x in range(m):
             for w in range(m):
-                if not self._put(base, (self.unit, x, w), 1 if x == w else 0):
-                    return []
-                if not self._put(base, (x, self.unit, w), 1 if x == w else 0):
-                    return []
-        if not self._propagate(base, dual=None):
+                for cell in ((self.unit, x, w), (x, self.unit, w)):
+                    if not self._put(vals, sums, cell, int(x == w)):
+                        return []
+        if not self._propagate(vals, sums, None, None):
             return []
-
-        solutions: list[np.ndarray] = []
-        unit_cells = sorted(
-            (f, x, self.unit)
-            for f in self.free_cols
-            for x in range(m)
-            if (f, x, self.unit) not in base
+        self.unit_cells = sorted((f, x, self.unit) for f in self.free_cols for x in range(m))
+        self.free_cells = sorted(
+            (f, x, w) for f in self.free_cols for x in range(m) for w in range(m)
         )
-        self._search_unit(base, unit_cells, 0, solutions)
+        solutions: list[np.ndarray] = []
+        self._search(vals, sums, None, solutions)
         return solutions
 
-    # -- value store -----------------------------------------------------------
-
-    def _put(self, vals, cell, value) -> bool:
-        if value < 0 or value > self._cell_bound(*cell):
-            return False
+    def _put(self, vals, sums, cell, value) -> bool:
+        """Assign `cell`, checking its bound and the dimension sum of its row."""
         old = vals.get(cell)
         if old is not None:
             return old == value
+        if value < 0 or value > self._cell_bound(*cell):
+            return False
         vals[cell] = value
-        return True
+        z, x, w = cell
+        d = self.dims
+        tot, cnt = sums.get((z, x), (0.0, 0))
+        tot, cnt = tot + value * d[w], cnt + 1
+        sums[(z, x)] = (tot, cnt)
+        target = d[z] * d[x]
+        if cnt == self.m:
+            return abs(tot - target) <= 1e-8 * max(1.0, target)
+        return tot <= target * (1 + 1e-8) + 1e-8
 
-    def _group_frees(self, vals, x, w):
-        return [f for f in self.free_cols if (f, x, w) not in vals]
-
-    def _propagate(self, vals, dual) -> bool:
-        """Close `vals` under linear forcing and (if dual is known) symmetry."""
-        changed = True
-        while changed:
-            changed = False
-            for x in range(self.m):
-                for w in range(self.m):
-                    missing = self._group_frees(vals, x, w)
-                    if missing:
-                        # a pivot row with a single unknown free coefficient can
-                        # still force that free cell once its own value is known
-                        for z in self.pivots:
-                            if (z, x, w) not in vals:
-                                continue
-                            row = self.reduced[self.pivot_pos[z]]
-                            unknown = [f for f in missing if row[f] != 0]
-                            if len(unknown) != 1:
-                                continue
-                            f = unknown[0]
-                            rem = self.const[(x, w)][self.pivot_pos[z]] - vals[(z, x, w)]
-                            for g in self.free_cols:
-                                if g != f and row[g] != 0:
-                                    rem -= row[g] * vals[(g, x, w)]
-                            val = rem / row[f]
-                            if val.denominator != 1 or val < 0:
-                                return False
-                            if not self._put(vals, (f, x, w), int(val)):
-                                return False
-                            missing.remove(f)
-                            changed = True
-                    if not missing:
-                        for z in self.pivots:
-                            if (z, x, w) in vals:
-                                continue
-                            t = self.pivot_pos[z]
-                            row = self.reduced[t]
-                            val = self.const[(x, w)][t]
-                            for f in self.free_cols:
-                                if row[f] != 0:
-                                    val -= row[f] * vals[(f, x, w)]
-                            if val.denominator != 1 or val < 0:
-                                return False
-                            if not self._put(vals, (z, x, w), int(val)):
-                                return False
-                            changed = True
-            if dual is not None:
-                for (a, b, c), v in list(vals.items()):
-                    images = (
-                        (dual[b], dual[a], dual[c]),
-                        (b, dual[c], dual[a]),
-                        (dual[c], a, dual[b]),
-                    )
-                    for img in images:
-                        if img not in vals:
-                            if not self._put(vals, img, v):
-                                return False
-                            changed = True
-                        elif vals[img] != v:
+    def _propagate(self, vals, sums, dual, todo) -> bool:
+        """Close `vals` under the forcing rule and, if `dual` is known, the
+        symmetries.  `todo` lists the cells assigned since the last closure;
+        None stands for every equation."""
+        eqs = range(len(self.equations)) if todo is None else ()
+        todo = list(todo or ())
+        while True:
+            for e in eqs:
+                terms, rem = self.equations[e]
+                unknown = None
+                for cell, coef in terms:
+                    v = vals.get(cell)
+                    if v is not None:
+                        rem -= coef * v
+                    elif unknown is None:
+                        unknown = (cell, coef)
+                    else:
+                        break
+                else:
+                    if unknown is None:
+                        if rem != 0:
                             return False
-        return True
+                        continue
+                    cell, coef = unknown
+                    val = rem / coef
+                    if val.denominator != 1 or not self._put(vals, sums, cell, int(val)):
+                        return False
+                    todo.append(cell)
+            if not todo:
+                return True
+            cell = todo.pop()
+            eqs = self.watch.get(cell, ())
+            if dual is not None:
+                a, b, c = cell
+                v = vals[cell]
+                for img in ((dual[b], dual[a], dual[c]), (b, dual[c], dual[a]), (dual[c], a, dual[b])):
+                    new = img not in vals
+                    if not self._put(vals, sums, img, v):
+                        return False
+                    if new:
+                        todo.append(img)
 
-    # -- phase 1: the unit column fixes the duality ------------------------------
-
-    def _search_unit(self, vals, cells, idx, solutions) -> None:
-        if idx == len(cells):
+    def _search(self, vals, sums, dual, solutions) -> None:
+        cells = self.unit_cells if dual is None else self.free_cells
+        cell = next((c for c in cells if c not in vals), None)
+        if cell is None and dual is None:
             dual = self._derive_dual(vals)
-            if dual is None:
-                return
-            state = dict(vals)
-            if not self._propagate(state, dual):
-                return
-            rest = sorted(
-                (f, x, w)
-                for f in self.free_cols
-                for x in range(self.m)
-                for w in range(self.m)
-                if (f, x, w) not in state
-            )
-            self._search_rest(state, dual, rest, solutions)
+            if dual is not None and self._propagate(vals, sums, dual, list(vals)):
+                self._search(vals, sums, dual, solutions)
             return
-        cell = cells[idx]
-        if cell in vals:
-            self._search_unit(vals, cells, idx + 1, solutions)
+        if cell is None:
+            mN = self._assemble(vals)
+            if mN is not None and self._final_check(mN, dual):
+                solutions.append(mN)
             return
-        for value in (0, 1):
-            state = dict(vals)
-            if not self._put(state, cell, value):
-                continue
-            if self._propagate(state, None):
-                self._search_unit(state, cells, idx + 1, solutions)
+        values = (0, 1) if dual is None else range(self._cell_bound(*cell) + 1)
+        for value in values:
+            state, state_sums = dict(vals), dict(sums)
+            if self._put(state, state_sums, cell, value) and self._propagate(
+                state, state_sums, dual, [cell]
+            ):
+                self._search(state, state_sums, dual, solutions)
 
     def _derive_dual(self, vals) -> tuple[int, ...] | None:
         dual = []
@@ -670,37 +669,6 @@ class _FusionSolver:
         if any(dual[dual[z]] != z for z in range(self.m)):
             return None
         return tuple(dual)
-
-    # -- phase 2: remaining cells under full propagation -------------------------
-
-    def _search_rest(self, vals, dual, rest, solutions) -> None:
-        cell = next((c for c in rest if c not in vals), None)
-        if cell is None:
-            mN = self._assemble(vals)
-            if mN is not None and self._final_check(mN, dual):
-                solutions.append(mN)
-            return
-        for value in range(self._cell_bound(*cell) + 1):
-            state = dict(vals)
-            if not self._put(state, cell, value):
-                continue
-            if self._dim_prune(state) and self._propagate(state, dual):
-                self._search_rest(state, dual, rest, solutions)
-
-    def _dim_prune(self, vals) -> bool:
-        d = self.dims
-        by_product: dict[tuple[int, int], tuple[float, int]] = {}
-        for (z, x, w), v in vals.items():
-            tot, cnt = by_product.get((z, x), (0.0, 0))
-            by_product[(z, x)] = (tot + v * d[w], cnt + 1)
-        for (z, x), (tot, cnt) in by_product.items():
-            target = d[z] * d[x]
-            if cnt == self.m:
-                if abs(tot - target) > 1e-8 * max(1.0, target):
-                    return False
-            elif tot > target * (1 + 1e-8) + 1e-8:
-                return False
-        return True
 
     def _assemble(self, vals) -> np.ndarray | None:
         mN = np.zeros((self.m, self.m, self.m), dtype=np.int64)

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fusion import FusionRing, verlinde_su2
+from .fusion import FusionError, FusionRing, verlinde_su2
 from .modules import (
     ModuleAction,
     ModuleError,
@@ -112,7 +112,7 @@ def save_package(data: ModuleAction | ModuleTensorData, path: str | Path) -> Non
 
 
 def package_text(data: ModuleAction | ModuleTensorData) -> str:
-    action = data.action if isinstance(data, ModuleTensorData) else data
+    action = data.action
     lines = [f"package {action.name}", f"base {action.base_spec}"]
     lines.append("msimples " + " ".join(action.msimples))
     if action.unit_module is not None:
@@ -140,7 +140,9 @@ def _mn_ravel(data) -> np.ndarray:
     return np.zeros(1, dtype=np.int64)
 
 
-def load_package(path: str | Path, base_dir: str | Path | None = None):
+def load_package(
+    path: str | Path, base_dir: str | Path | None = None, *, _loading: frozenset = frozenset()
+):
     """Parse and validate a package file.
 
     Returns ModuleTensorData when the file carries a unit and a complete
@@ -148,10 +150,23 @@ def load_package(path: str | Path, base_dir: str | Path | None = None):
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
-    return parse_package(text, source=str(path), base_dir=base_dir or path.parent)
+    return parse_package(
+        text,
+        source=str(path),
+        base_dir=base_dir or path.parent,
+        _loading=_loading | {path.resolve()},
+    )
 
 
-def parse_package(text: str, source: str = "<string>", base_dir=None):
+def parse_package(
+    text: str, source: str = "<string>", base_dir=None, *, _loading: frozenset = frozenset()
+):
+    """Parse and validate package text; every error is a PackageError.
+
+    `_loading` holds the resolved paths of the package files whose loading
+    is under way, so a `base file` chain that returns to one of them fails
+    instead of recursing.
+    """
     lines = text.splitlines()
     items: list[tuple[int, list[str]]] = []
     for lineno, raw in enumerate(lines, start=1):
@@ -189,6 +204,8 @@ def parse_package(text: str, source: str = "<string>", base_dir=None):
         for v in row:
             if v < 0:
                 fail(lineno, f"negative multiplicity {v}")
+            if v >= 2**63:
+                fail(lineno, f"multiplicity {v} does not fit in 64 bits")
         pos += 1
         return np.array(row, dtype=np.int64)
 
@@ -208,11 +225,20 @@ def parse_package(text: str, source: str = "<string>", base_dir=None):
                     k = int(tokens[2])
                 except ValueError:
                     fail(lineno, f"bad level {tokens[2]!r}")
-                base = verlinde_su2(k)
+                try:
+                    base = verlinde_su2(k)
+                except FusionError as exc:
+                    fail(lineno, str(exc))
             else:
                 if base_dir is None:
                     fail(lineno, "base file references need a base directory")
-                ref = load_builtin_or_file(tokens[2], base_dir)
+                path = _package_path(tokens[2], base_dir)
+                if path is not None and path.resolve() in _loading:
+                    fail(lineno, f"base file {tokens[2]!r} is still loading: the base chain loops")
+                try:
+                    ref = load_builtin_or_file(tokens[2], base_dir, _loading=_loading)
+                except FusionError as exc:
+                    fail(lineno, str(exc))
                 if not isinstance(ref, ModuleTensorData):
                     fail(lineno, f"base ring {tokens[2]!r} is not a module tensor package")
                 base = ref.module_ring()
@@ -299,9 +325,9 @@ def parse_package(text: str, source: str = "<string>", base_dir=None):
             mN[x, y] = mfusion[(xl, yl)]
     try:
         data = ModuleTensorData(action=action, mN=mN)
-    except ModuleError as exc:
+        report = validate_tensor_data(data)
+    except (ModuleError, FusionError) as exc:
         fail(first_line, str(exc))
-    report = validate_tensor_data(data)
     if not report.ok:
         fail(first_line, "; ".join(report.failures))
     return data
@@ -328,14 +354,19 @@ def data_dir() -> Path:
     return Path(__file__).parent / "data"
 
 
-def load_builtin_or_file(name: str, base_dir=None):
+def _package_path(name: str, base_dir=None) -> Path | None:
+    """The package file `name` refers to, or None."""
     candidates = []
     if base_dir is not None:
         candidates.append(Path(base_dir) / f"{name}.pkg")
     candidates.append(data_dir() / f"{name}.pkg")
-    for candidate in candidates:
-        if candidate.exists():
-            return load_package(candidate)
+    return next((c for c in candidates if c.exists()), None)
+
+
+def load_builtin_or_file(name: str, base_dir=None, *, _loading: frozenset = frozenset()):
+    path = _package_path(name, base_dir)
+    if path is not None:
+        return load_package(path, _loading=_loading)
     m = REGULAR_PATTERN.fullmatch(name)
     if m and int(m.group(1)) == int(m.group(2)) + 1:
         return regular_module(verlinde_su2(int(m.group(2))), name=name)

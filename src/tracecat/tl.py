@@ -382,43 +382,6 @@ def all_diagrams(nb: int, nt: int) -> list[PlanarDiagram]:
 
 
 @dataclass(frozen=True)
-class JWProjector:
-    """The Jones-Wenzl idempotent on n strands."""
-
-    n: int
-    morphism: TLMorphism
-
-    @property
-    def strands(self) -> int:
-        return self.n
-
-    @property
-    def proj(self) -> TLMorphism:
-        return self.morphism
-
-    def as_object(self) -> "TLObject":
-        return TLObject(self.n, self.morphism)
-
-
-@lru_cache(maxsize=None)
-def jones_wenzl(n: int, field) -> JWProjector:
-    """Wenzl recursion; fails where a quantum integer [m], m <= n, vanishes."""
-    if n < 0:
-        raise ValueError("strand count must be nonnegative")
-    if n <= 1:
-        return JWProjector(n, identity(field, n))
-    prev = jones_wenzl(n - 1, field).morphism
-    qn = field.quantum_integer(n)
-    if qn.is_zero():
-        raise ValueError(f"vanishing quantum integer [{n}]_q")
-    ratio = field.quantum_integer(n - 1) * qn.inverse()
-    grown = tensor(prev, identity(field, 1))
-    e_last = e_generator(field, n, n - 2)
-    correction = compose(grown, compose(e_last, grown)).scaled(ratio)
-    return JWProjector(n, grown - correction)
-
-
-@dataclass(frozen=True)
 class TLObject:
     """An object of the projected category: strands with an idempotent on them."""
 
@@ -429,13 +392,31 @@ class TLObject:
         return TLObject(self.strands + other.strands, tensor(self.proj, other.proj))
 
 
+@lru_cache(maxsize=None)
+def jones_wenzl(n: int, field) -> TLObject:
+    """Wenzl recursion; fails where a quantum integer [m], m <= n, vanishes."""
+    if n < 0:
+        raise ValueError("strand count must be nonnegative")
+    if n <= 1:
+        return TLObject(n, identity(field, n))
+    prev = jones_wenzl(n - 1, field).proj
+    qn = field.quantum_integer(n)
+    if qn.is_zero():
+        raise ValueError(f"vanishing quantum integer [{n}]_q")
+    ratio = field.quantum_integer(n - 1) * qn.inverse()
+    grown = tensor(prev, identity(field, 1))
+    e_last = e_generator(field, n, n - 2)
+    correction = compose(grown, compose(e_last, grown)).scaled(ratio)
+    return TLObject(n, grown - correction)
+
+
 def unit_object(field) -> TLObject:
     return TLObject(0, identity(field, 0))
 
 
 def simple_object(label: int, field) -> TLObject:
     """The simple object with 1-based label n, modelled on n-1 strands."""
-    return jones_wenzl(label - 1, field).as_object()
+    return jones_wenzl(label - 1, field)
 
 
 # -- braiding and twists ------------------------------------------------------
@@ -554,7 +535,7 @@ def twist_morphism(x: TLObject, positive: bool = True, side: str = "right") -> T
     return compose(x.proj, compose(_curl_middle(field, n, positive, side), x.proj))
 
 
-def twist(x: JWProjector, variant: int = 1):
+def twist(x: TLObject, variant: int = 1):
     """Scalar by which the chosen twist acts on the simple object x.
 
     Variant 1 closes the positive curl to the right, variant 2 to the left;
@@ -563,8 +544,8 @@ def twist(x: JWProjector, variant: int = 1):
     if variant not in (1, 2):
         raise ValueError("variant must be 1 or 2")
     side = "right" if variant == 1 else "left"
-    mor = twist_morphism(x.as_object(), positive=True, side=side)
-    return extract_scalar(mor, x.morphism)
+    mor = twist_morphism(x, positive=True, side=side)
+    return extract_scalar(mor, x.proj)
 
 
 def extract_scalar(mor: TLMorphism, base: TLMorphism):
@@ -601,7 +582,7 @@ def pivotal_trace(f: TLMorphism, side: str = "left"):
 # -- the traciator in the self-action instance --------------------------------
 
 
-def traciator_self_action(x: TLObject | JWProjector, y: TLObject | JWProjector, sign: str = "+") -> TLMorphism:
+def traciator_self_action(x: TLObject, y: TLObject, sign: str = "+") -> TLMorphism:
     """The morphism x (x) y -> y (x) x wrapping one factor around the cylinder.
 
     With the category acting on itself the counit of the adjunction is the
@@ -610,10 +591,6 @@ def traciator_self_action(x: TLObject | JWProjector, y: TLObject | JWProjector, 
     the '+' version sends y around (over), the '-' version sends x around
     the other way (under).
     """
-    if isinstance(x, JWProjector):
-        x = x.as_object()
-    if isinstance(y, JWProjector):
-        y = y.as_object()
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     field = x.proj.field
@@ -792,7 +769,7 @@ def identity_suite(
 
     def jw_checks():
         for n in range(min(k + 1, pair_cap) + 1):
-            p = jones_wenzl(n, field).morphism
+            p = jones_wenzl(n, field).proj
             if compose(p, p) != p:
                 return f"JW({n}) not idempotent"
             for i in range(n - 1):
@@ -808,7 +785,7 @@ def identity_suite(
 
     def jw_unique():
         for n in range(2, min(k + 1, 4) + 1):
-            if jw_by_annihilation(n, field) != jones_wenzl(n, field).morphism:
+            if jw_by_annihilation(n, field) != jones_wenzl(n, field).proj:
                 return f"JW({n}) differs from annihilation solution"
         return None
 
@@ -969,7 +946,7 @@ def identity_suite(
 
     def spherical():
         for a in single_labels:
-            p = jones_wenzl(a - 1, field).morphism
+            p = jones_wenzl(a - 1, field).proj
             if pivotal_trace(p, "left") != pivotal_trace(p, "right"):
                 return f"tr_L != tr_R on JW({a - 1})"
         n = min(k + 1, 3)

@@ -242,3 +242,29 @@ def test_verify_tl_level_four_with_bound(capsys):
     assert code == 0
     assert "identity suite, level 4" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize(
+    "files,match",
+    [
+        ({"bad": "package p\nbase su2 101\n"}, "line 2: level 101 exceeds"),
+        ({"bad": "package p\nbase su2 -1\n"}, "line 2: level must be nonnegative"),
+        ({"bad": "package p\nbase file bad\n"}, "line 2: base file 'bad' is still loading"),
+        (
+            {"bad": "package p\nbase file other\n", "other": "package q\nbase file bad\n"},
+            "other.pkg: line 2: base file 'bad' is still loading",
+        ),
+        (
+            {"bad": "package p\nbase su2 1\nmsimples a\naction 1\n" + str(2**63) + "\n"},
+            "line 5: multiplicity 9223372036854775808 does not fit in 64 bits",
+        ),
+    ],
+    ids=["level-101", "level-minus-1", "self-base", "base-cycle", "overflow"],
+)
+def test_package_errors_exit_one_with_one_line(capsys, tmp_path, files, match):
+    for name, text in files.items():
+        (tmp_path / f"{name}.pkg").write_text(text)
+    code, out, err = run(capsys, "trace", "--package", str(tmp_path / "bad.pkg"))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert match in err

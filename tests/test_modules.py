@@ -19,6 +19,7 @@ from tracecat.modules import (
     validate_tensor_data,
 )
 from tracecat.packages import BUILTIN_FILES, ade_action, dynkin_graph, load_builtin
+from tracecat.trace import trace_object
 
 
 def einsum_validate_action(action: ModuleAction) -> list[str]:
@@ -139,17 +140,26 @@ def test_validate_action_catches_broken_associativity():
 
 
 def test_regular_module_fusion_is_base_tensor():
-    ring = verlinde_su2(4)
-    data = regular_module(ring, name="a5_su2_4")
-    assert np.array_equal(data.mN, ring.N)
-    assert validate_tensor_data(data).ok
-    res = derive_module_fusion(data.action)
-    assert np.array_equal(res.data.mN, ring.N)
+    for k in (4, 10, 16):
+        ring = verlinde_su2(k)
+        data = regular_module(ring, name=f"a{k + 1}_su2_{k}")
+        assert np.array_equal(data.mN, ring.N)
+        assert validate_tensor_data(data).ok
+        res = derive_module_fusion(data.action)
+        assert np.array_equal(res.data.mN, ring.N)
 
 
 @pytest.mark.parametrize(
     "kind,level,autos",
-    [("d4", 4, 2), ("e6", 10, 1), ("d10", 16, 2), ("e8", 28, 1)],
+    [
+        ("d4", 4, 2),
+        ("e6", 10, 1),
+        ("d10", 16, 2),
+        ("e8", 28, 1),
+        ("d12", 20, 2),
+        ("d14", 24, 2),
+        ("d16", 28, 2),
+    ],
 )
 def test_derive_unique_up_to_symmetry(kind, level, autos):
     action = ade_action(kind, level, unit="1")
@@ -157,6 +167,12 @@ def test_derive_unique_up_to_symmetry(kind, level, autos):
     assert result.n_solutions == 1
     assert len(result.symmetries) == autos
     assert validate_tensor_data(result.data).ok
+    if kind.startswith("d"):
+        # Kirillov-Ostrik: the D_even algebra is A = 1 + (k+1)
+        expected = [0] * (level + 1)
+        expected[0] = expected[level] = 1
+        unit = result.data.action.basis(result.data.unit_module)
+        assert trace_object(result.data, unit).mult == tuple(expected)
 
 
 def test_derive_d4_is_cyclic_on_legs():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracecat.modules import ModuleAction, ModuleTensorData, derive_module_fusion
 from tracecat.packages import (
@@ -172,3 +174,87 @@ def test_dynkin_graph_errors():
     labels, adjacency = dynkin_graph("e8")
     assert len(labels) == 8
     assert adjacency.sum() == 14  # seven edges
+
+
+D4_LINES = (data_dir() / "d4_su2_4.pkg").read_text().splitlines()
+BIG = 2**63
+
+
+def replace_line(index: int, line: str) -> str:
+    lines = list(D4_LINES)
+    lines[index] = line
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text,lineno,match",
+    [
+        (replace_line(D4_LINES.index("action 1") + 1, f"{BIG} 0 0 0"),
+         D4_LINES.index("action 1") + 2, "64 bits"),
+        ("package p\nbase su2 101\n", 2, "exceeds the maximum level"),
+        ("package p\nbase su2 -1\n", 2, "nonnegative"),
+        ("package p\nbase file a102_su2_101\n", 2, "exceeds the maximum level"),
+    ],
+    ids=["overflow", "level-101", "level-minus-1", "regular-level-101"],
+)
+def test_shown_errors_name_their_line(text, lineno, match):
+    with pytest.raises(PackageError, match=rf"line {lineno}: .*{match}"):
+        parse_package(text, base_dir=".")
+
+
+def test_duplicate_duals_are_a_package_error():
+    text = "\n".join(
+        ["package p", "base su2 1", "msimples a b", "unit a"]
+        + ["action 1", "1 0", "0 1", "action 2", "0 1", "1 0"]
+        + ["mfusion a a", "1 0", "mfusion a b", "0 1", "mfusion b a", "1 0"]
+        + ["mfusion b b", "0 1"]
+    )
+    with pytest.raises(PackageError, match="line 1: dual is not a permutation"):
+        parse_package(text)
+
+
+@pytest.mark.parametrize("length", [1, 2])
+def test_base_file_cycle_is_a_package_error(tmp_path, length):
+    names = [f"loop{i}" for i in range(length)]
+    for i, name in enumerate(names):
+        target = names[(i + 1) % length]
+        (tmp_path / f"{name}.pkg").write_text(f"package {name}\nbase file {target}\n")
+    with pytest.raises(PackageError, match=r"line 2: base file 'loop0' is still loading"):
+        load_package(tmp_path / "loop0.pkg")
+
+
+TOKENS = st.sampled_from(
+    ["package", "base", "su2", "file", "msimples", "unit", "action", "mfusion",
+     "1", "2", "3", "3'", "4", "5", "#", "-1", "x"]
+)
+NUMBERS = st.one_of(
+    st.integers(-3, 5), st.integers(BIG - 2, BIG + 2), st.integers(-(2**70), 2**70)
+)
+LINES = st.one_of(
+    st.lists(st.one_of(TOKENS, NUMBERS.map(str)), max_size=6).map(" ".join),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    edits=st.lists(
+        st.tuples(st.integers(0, len(D4_LINES)), st.sampled_from(["set", "insert", "delete"]), LINES),
+        max_size=4,
+    )
+)
+def test_fuzz_only_package_errors_leave_parse_package(edits):
+    lines = list(D4_LINES)
+    for index, op, line in edits:
+        index = min(index, len(lines))
+        if op == "insert":
+            lines.insert(index, line)
+        elif index < len(lines):
+            if op == "set":
+                lines[index] = line
+            else:
+                del lines[index]
+    try:
+        parse_package("\n".join(lines) + "\n")
+    except PackageError:
+        pass

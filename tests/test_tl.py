@@ -97,7 +97,7 @@ def test_curl_scalar():
 
 @pytest.mark.parametrize("n", range(5))
 def test_jones_wenzl_idempotent_and_killed(n):
-    p = jones_wenzl(n, F).morphism
+    p = jones_wenzl(n, F).proj
     assert compose(p, p) == p
     for i in range(n - 1):
         assert compose(embed(cap(F), i, n - 2 - i), p).is_zero()
@@ -110,14 +110,14 @@ def test_jones_wenzl_alcove_wall():
     # at level k the recursion stops after k+1 strands
     F2 = scalar_field(2)
     top = jones_wenzl(3, F2)  # n = k+1 is allowed...
-    assert pivotal_trace(top.morphism, "left").is_zero()  # ...with trace [4] = 0
+    assert pivotal_trace(top.proj, "left").is_zero()  # ...with trace [4] = 0
     with pytest.raises(ValueError, match="quantum integer"):
         jones_wenzl(4, F2)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_jones_wenzl_unique_by_annihilation(n):
-    assert jw_by_annihilation(n, F) == jones_wenzl(n, F).morphism
+    assert jw_by_annihilation(n, F) == jones_wenzl(n, F).proj
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -254,7 +254,7 @@ def test_identity_suite_float_fast_path():
 
 def test_jones_wenzl_two_strand_formula():
     # f_2 = id - (1/[2]) e, with closed trace [3]
-    p = jones_wenzl(2, F).morphism
+    p = jones_wenzl(2, F).proj
     e = e_generator(F, 2, 0)
     expected = identity(F, 2) - e.scaled(F.quantum_integer(2).inverse())
     assert p == expected
@@ -264,8 +264,8 @@ def test_jones_wenzl_two_strand_formula():
 def test_traciator_accepts_projectors_directly():
     x, y = jones_wenzl(1, F), jones_wenzl(2, F)
     plus = traciator_self_action(x, y, "+")
-    minus = traciator_self_action(y.as_object(), x, "-")
-    assert compose(minus, plus) == tensor(x.morphism, y.morphism)
+    minus = traciator_self_action(y, x, "-")
+    assert compose(minus, plus) == tensor(x.proj, y.proj)
     with pytest.raises(ValueError):
         traciator_self_action(x, y, "?")
 
@@ -415,6 +415,6 @@ def test_diagram_tables_stay_within_their_bound(monkeypatch):
     _clear_tl_caches()
     monkeypatch.setattr(tl, "_TABLE_BOUND", 10)
     for n in (2, 3, 4):
-        assert jw_by_annihilation(n, F) == jones_wenzl(n, F).morphism
+        assert jw_by_annihilation(n, F) == jones_wenzl(n, F).proj
         assert len(tl._DIAGRAMS) <= 10 and len(tl._GLUE_CACHE) <= 10
     _clear_tl_caches()

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_fusion import perturb
+
 from tracecat.fusion import FusionError, ObjectVec
-from tracecat.modules import ModuleAction, ModuleError
-from tracecat.packages import load_builtin
+from tracecat.modules import ModuleAction, ModuleError, ModuleTensorData
+from tracecat.packages import BUILTIN_FILES, load_builtin
 from tracecat.trace import (
     check_adjunction,
     check_forgetful,
@@ -254,3 +256,77 @@ def test_trace_checks_take_the_trace_matrix_once(monkeypatch, check):
     monkeypatch.setattr(trace, "trace_matrix", lambda d: calls.append(1) or original(d))
     assert check(data).ok
     assert len(calls) == 1
+
+
+def loop_traciator_failures(data: ModuleTensorData) -> list[str]:
+    """The failures of check_traciator_iso, one mfuse call per product."""
+    failures: list[str] = []
+    action = data.action
+    m = action.rank
+    for j in range(m):
+        x = action.basis(j)
+        for l in range(m):
+            y = action.basis(l)
+            if trace_object(data, data.mfuse(x, y)) != trace_object(data, data.mfuse(y, x)):
+                failures.append(
+                    f"trace symmetry fails at ({action.msimples[j]}, "
+                    f"{action.msimples[l]})"
+                )
+    for j in range(m):
+        for l in range(m):
+            for s in range(m):
+                x, y, z = action.basis(j), action.basis(l), action.basis(s)
+                lhs = trace_object(data, data.mfuse(x, data.mfuse(y, z)))
+                rhs = trace_object(data, data.mfuse(data.mfuse(z, x), y))
+                if lhs != rhs:
+                    failures.append(
+                        "rotated three-factor trace fails at "
+                        f"({action.msimples[j]}, {action.msimples[l]}, "
+                        f"{action.msimples[s]})"
+                    )
+    return failures
+
+
+TENSOR_BUILTINS = [
+    name
+    for name in BUILTIN_FILES + ("a5_su2_4",)
+    if isinstance(load_builtin(name), ModuleTensorData)
+]
+
+
+@pytest.mark.parametrize("name", TENSOR_BUILTINS)
+def test_traciator_iso_matches_loop_reference_on_builtins(name):
+    data = load_builtin(name)
+    assert check_traciator_iso(data).failures == loop_traciator_failures(data) == []
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_traciator_iso_matches_loop_reference_on_perturbations(seed):
+    rng = np.random.default_rng(seed)
+    data = load_builtin(TENSOR_BUILTINS[seed % len(TENSOR_BUILTINS)])
+    # |.| keeps every multiplicity nonnegative, as mfuse requires
+    mN = np.abs(perturb(data.mN, rng, 1 + seed % 3))
+    bad = ModuleTensorData(action=data.action, mN=mN, mdual=data.mdual)
+    failures = check_traciator_iso(bad).failures
+    assert failures == loop_traciator_failures(bad)
+    assert failures
+
+
+def test_traciator_iso_makes_no_mfuse_calls(monkeypatch):
+    def refuse(self, x, y):
+        raise AssertionError("mfuse called")
+
+    monkeypatch.setattr(ModuleTensorData, "mfuse", refuse)
+    assert check_traciator_iso(load_builtin("a31_su2_30")).ok
+
+
+def test_traciator_iso_object_branch_agrees():
+    # scaling mN by c scales both sides of each identity alike (by c or c**2),
+    # so the failures stay the same while the sums pass 2**53 (Python ints)
+    rng = np.random.default_rng(7)
+    data = load_builtin("d4_su2_4")
+    mN = np.abs(perturb(data.mN, rng, 2))
+    small = ModuleTensorData(action=data.action, mN=mN, mdual=data.mdual)
+    large = ModuleTensorData(action=data.action, mN=mN * 2**40, mdual=data.mdual)
+    assert check_traciator_iso(large).failures == check_traciator_iso(small).failures
+    assert check_traciator_iso(small).failures
