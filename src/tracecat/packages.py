@@ -143,13 +143,19 @@ def _mn_ravel(data) -> np.ndarray:
 def load_package(
     path: str | Path, base_dir: str | Path | None = None, *, _loading: frozenset = frozenset()
 ):
-    """Parse and validate a package file.
+    """Parse and validate a package file; every error, an unreadable or
+    non-UTF-8 file included, is a PackageError.
 
     Returns ModuleTensorData when the file carries a unit and a complete
     set of mfusion blocks, otherwise a ModuleAction.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise PackageError(f"{path}: not UTF-8 text at byte {exc.start}") from None
+    except OSError as exc:
+        raise PackageError(f"{path}: cannot read: {exc.strerror or exc}") from None
     return parse_package(
         text,
         source=str(path),

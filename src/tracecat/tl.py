@@ -11,9 +11,11 @@ the disk order (bottom left to right, then top right to left).
 
 Every diagram built here is interned: one object per distinct boundary and
 pairing, so the public constructor's validation (planarity included) runs
-once per distinct pairing, not once per gluing.  Crossings and closing caps
-act on one term at a time as local reconnections of its top points (the
-e_i action of Kauffman-Lins), without gluing a full-width diagram.
+once per distinct pairing, not once per gluing.  Crossings and caps act on
+one term at a time as local reconnections of its top points (the e_i action
+of Kauffman-Lins), without gluing a full-width diagram.  The wraps behind
+curls and traciators cap each strand as soon as its last crossing is done,
+so every intermediate morphism has as few top points as possible.
 
 Simple objects are modelled by Jones-Wenzl projectors: the level-k label
 n corresponds to the projector on n-1 strands.  The pivotal structure is
@@ -293,11 +295,12 @@ def _tensor_diagrams(df: PlanarDiagram, dg: PlanarDiagram) -> PlanarDiagram:
     return _diagram(nb, nt, tuple(pairing))
 
 
-_DELTA_POWERS: dict[int, list] = {}
+# keyed by the field itself: the id of a field freed from its cache is reused
+_DELTA_POWERS: dict[object, list] = {}
 
 
 def _delta_powers(field):
-    powers = _DELTA_POWERS.setdefault(id(field), [field.one, field.loop_value()])
+    powers = _DELTA_POWERS.setdefault(field, [field.one, field.loop_value()])
 
     def get(n: int):
         while len(powers) <= n:
@@ -449,43 +452,38 @@ def braid_blocks(field, p: int, q: int, over: bool = True) -> TLMorphism:
 
 
 def _sandwich(x: TLObject, y: TLObject, middle: TLMorphism) -> TLMorphism:
-    bottom = tensor(x.proj, y.proj)
-    top = tensor(y.proj, x.proj)
-    return compose(top, compose(middle, bottom))
+    return compose(tensor(y.proj, x.proj), compose(middle, tensor(x.proj, y.proj)))
+
+
+def _cross(m: TLMorphism, t: int, a, b) -> TLMorphism:
+    """The crossing a id + b e at top positions (t, t+1) on top of m.  On each
+    term e joins the partners of t and t+1 and pairs t with t+1 (a loop if paired)."""
+    field, nb, nt = m.field, m.n_bottom, m.n_top
+    delta = _delta_powers(field)(1)
+    t += nb
+    crossed: dict[PlanarDiagram, object] = {}
+    for d, c in m.terms.items():
+        _add_term(crossed, d, a * c)
+        pairing = d.pairing
+        u, v = pairing[t], pairing[t + 1]
+        if u == t + 1:
+            _add_term(crossed, d, b * c * delta)
+            continue
+        new = list(pairing)
+        new[u], new[v], new[t], new[t + 1] = v, u, t + 1, t
+        _add_term(crossed, _diagram(nb, nt, tuple(new)), b * c)
+    return TLMorphism(field, nb, nt, crossed)  # drops zero terms
 
 
 def _apply_block_crossings(
     m: TLMorphism, offset: int, p: int, q: int, over: bool
 ) -> TLMorphism:
-    """Braid strands [offset, offset+p) past [offset+p, offset+p+q) on top of m.
-
-    The p*q elementary crossings are applied one at a time, each directly
-    to every term of m: the crossing at top positions (t, t+1) is a id + b e,
-    and e reconnects the term locally (a loop if t and t+1 are paired,
-    otherwise their partners are joined and t, t+1 paired).  Every
-    intermediate morphism stays anchored to m's (typically projected, hence
-    small) bottom; no pure-strand block braid or full-width gluing is built.
-    """
-    field = m.field
-    a, b = _crossing_coefficients(field, over)
-    delta = _delta_powers(field)(1)
-    nb, nt = m.n_bottom, m.n_top
+    """Braid top strands [offset, offset+p) past the next q on top of m, one
+    crossing at a time, the rightmost of the p strands moving first."""
+    a, b = _crossing_coefficients(m.field, over)
     for moved in range(p):
-        start = p - 1 - moved
         for j in range(q):
-            t = nb + offset + start + j
-            crossed: dict[PlanarDiagram, object] = {}
-            for d, c in m.terms.items():
-                _add_term(crossed, d, a * c)
-                pairing = d.pairing
-                u, v = pairing[t], pairing[t + 1]
-                if u == t + 1:
-                    _add_term(crossed, d, b * c * delta)
-                    continue
-                new = list(pairing)
-                new[u], new[v], new[t], new[t + 1] = v, u, t + 1, t
-                _add_term(crossed, _diagram(nb, nt, tuple(new)), b * c)
-            m = TLMorphism(field, nb, nt, crossed)  # drops zero terms
+            m = _cross(m, offset + p - 1 - moved + j, a, b)
     return m
 
 
@@ -514,25 +512,47 @@ def _cap_off(m: TLMorphism, start: int, width: int) -> TLMorphism:
     return TLMorphism(field, nb, nt, terms)
 
 
+def _wrap_right(field, p: int, q: int, over: bool) -> TLMorphism:
+    """id_p (x) cup_q with the p strands braided past the cup's left ends and
+    capped against its right ends.  The strands move right one at a time,
+    rightmost first; strand `moved` lands at top position p+q-1-moved, next
+    to the innermost open cup end, and is capped there at once while moved < q."""
+    m = tensor(identity(field, p), cup(field, q))
+    for moved in range(p):
+        m = _apply_block_crossings(m, p - 1 - moved, 1, q, over)
+        if moved < q:
+            m = _cap_off(m, p + q - 1 - moved, 1)
+    return m
+
+
+def _wrap_left(field, p: int, q: int, over: bool) -> TLMorphism:
+    """cup_p (x) id_q with the cup's right ends braided past the q strands and
+    capped against its left ends.  The strands move left one at a time, leftmost
+    first (the same positive braid); strand c lands at top position `end`, next
+    to the innermost open cup end, and is capped there at once while c < p."""
+    m = tensor(cup(field, p), identity(field, q))
+    for c in range(q):
+        end = p + c - 2 * min(c, p)  # p + c, less two points per earlier cap
+        m = _apply_block_crossings(m, end, p, 1, over)
+        if c < p:
+            m = _cap_off(m, end - 1, 1)
+    return m
+
+
 @lru_cache(maxsize=None)
 def _curl_middle(field, n: int, positive: bool, side: str) -> TLMorphism:
     """Unprojected curl on n strands: wrap the group around itself and close."""
-    if side == "right":
-        m = tensor(identity(field, n), cup(field, n))
-        return _cap_off(_apply_block_crossings(m, 0, n, n, positive), n, n)
-    m = tensor(cup(field, n), identity(field, n))
-    return _cap_off(_apply_block_crossings(m, n, n, n, positive), 0, n)
+    return (_wrap_right if side == "right" else _wrap_left)(field, n, n, positive)
 
 
 def twist_morphism(x: TLObject, positive: bool = True, side: str = "right") -> TLMorphism:
     """The curl through the object: braid a strand group around itself and close."""
-    field = x.proj.field
-    n = x.strands
-    if n == 0:
+    if x.strands == 0:
         return x.proj
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    return compose(x.proj, compose(_curl_middle(field, n, positive, side), x.proj))
+    middle = _curl_middle(x.proj.field, x.strands, positive, side)
+    return compose(x.proj, compose(middle, x.proj))
 
 
 def twist(x: TLObject, variant: int = 1):
@@ -566,16 +586,11 @@ def pivotal_trace(f: TLMorphism, side: str = "left"):
         raise ValueError("trace requires an endomorphism")
     field = f.field
     n = f.n_bottom
-    if side == "right":
-        closed = compose(
-            cap(field, n), compose(tensor(f, identity(field, n)), cup(field, n))
-        )
-    elif side == "left":
-        closed = compose(
-            cap(field, n), compose(tensor(identity(field, n), f), cup(field, n))
-        )
-    else:
+    if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
+    ident = identity(field, n)
+    middle = tensor(f, ident) if side == "right" else tensor(ident, f)
+    closed = compose(cap(field, n), compose(middle, cup(field, n)))
     return closed.terms.get(_diagram(0, 0, ()), field.zero)
 
 
@@ -593,31 +608,16 @@ def traciator_self_action(x: TLObject, y: TLObject, sign: str = "+") -> TLMorphi
     """
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
-    field = x.proj.field
-    middle = _traciator_middle(field, x.strands, y.strands, sign)
-    return _sandwich(x, y, middle)
+    return _sandwich(x, y, _traciator_middle(x.proj.field, x.strands, y.strands, sign))
 
 
 @lru_cache(maxsize=None)
 def _traciator_middle(field, p: int, q: int, sign: str) -> TLMorphism:
-    # Wide wraps are assembled from single-strand wraps via the composition
-    # law (valid on the nose for framed tangles); narrow ones are built
-    # directly from the wrap diagram.
+    """Unprojected traciator x (x) y -> y (x) x on p + q strands: '+' wraps
+    y's q strands over to the right, '-' wraps x's p strands under to the left."""
     if sign == "+":
-        if q > 2:
-            return compose(
-                _traciator_middle(field, 1 + p, q - 1, sign),
-                _traciator_middle(field, p + q - 1, 1, sign),
-            )
-        m = tensor(identity(field, p + q), cup(field, q))
-        return _cap_off(_apply_block_crossings(m, 0, p + q, q, over=True), q + p, q)
-    if p > 2:
-        return compose(
-            _traciator_middle(field, p - 1, q + 1, sign),
-            _traciator_middle(field, 1, p - 1 + q, sign),
-        )
-    m = tensor(cup(field, p), identity(field, p + q))
-    return _cap_off(_apply_block_crossings(m, p, p, p + q, over=False), 0, p)
+        return _wrap_right(field, p + q, q, True)
+    return _wrap_left(field, p, p + q, False)
 
 
 # -- the identity suite --------------------------------------------------------

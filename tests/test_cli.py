@@ -268,3 +268,16 @@ def test_package_errors_exit_one_with_one_line(capsys, tmp_path, files, match):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert match in err
+
+
+@pytest.mark.parametrize("verb", ["trace", "end", "fuse", "dims", "verify", "derive"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_unreadable_package_exits_one_with_one_line(capsys, tmp_path, verb, kind):
+    path = {"missing": tmp_path / "missing.pkg", "directory": tmp_path}.get(kind)
+    if path is None:
+        path = tmp_path / "bytes.pkg"
+        path.write_bytes(b"package p\n\xff\xfe\n")
+    extra = ("--word", "1") if verb == "fuse" else ()
+    code, out, err = run(capsys, verb, "--package", str(path), *extra)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1

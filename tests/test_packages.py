@@ -258,3 +258,29 @@ def test_fuzz_only_package_errors_leave_parse_package(edits):
         parse_package("\n".join(lines) + "\n")
     except PackageError:
         pass
+
+
+def _unreadable(tmp_path, kind):
+    """A package path that cannot be read as text: missing, a directory, or
+    a file of bytes that are not UTF-8."""
+    if kind == "missing":
+        return tmp_path / "missing.pkg", "cannot read: No such file or directory"
+    if kind == "directory":
+        return tmp_path, "cannot read: Is a directory"
+    path = tmp_path / "latin1.pkg"
+    path.write_bytes("package caf\xe9\n".encode("latin-1"))
+    return path, "not UTF-8 text at byte 11"
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_unreadable_package_file_is_a_package_error(tmp_path, kind):
+    path, match = _unreadable(tmp_path, kind)
+    with pytest.raises(PackageError, match=match):
+        load_package(path)
+
+
+def test_unreadable_base_file_is_a_package_error(tmp_path):
+    (tmp_path / "ring.pkg").write_bytes(b"\xff\xfe")
+    (tmp_path / "top.pkg").write_text("package p\nbase file ring\n")
+    with pytest.raises(PackageError, match="ring.pkg: not UTF-8 text at byte 0"):
+        load_package(tmp_path / "top.pkg")

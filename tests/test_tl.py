@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from tracecat import tl
-from tracecat.cyclo import scalar_field
+from tracecat.cyclo import FloatField, scalar_field
 from tracecat.tl import (
     PlanarDiagram,
     TLMorphism,
@@ -210,6 +210,20 @@ def test_float_fast_path_agrees():
         assert abs(exact - fast) < 1e-9
 
 
+@pytest.mark.parametrize("exact", [True, False])
+def test_delta_powers_follow_a_rebuilt_field(exact):
+    # a field freed from the level cache leaves its id free for the next one;
+    # the powers of delta must still be the new field's own
+    cache = type(scalar_field(2, exact=exact)).for_level
+    for k in (2, 4, 10) * 10:
+        cache.cache_clear()
+        f = scalar_field(k, exact=exact)
+        assert tl._delta_powers(f)(1) == f.loop_value()
+        assert tl._delta_powers(f)(3) == f.loop_value() ** 3
+        del f
+    cache.cache_clear()
+
+
 def test_identity_suite_small_level():
     report = identity_suite(2)
     assert report.ok, [c for c in report.checks if not c.passed]
@@ -386,6 +400,96 @@ def test_crossings_and_curls_glue_nothing(monkeypatch):
     assert braid_blocks.__wrapped__(F, 3, 3).terms
     curl = tl._curl_middle.__wrapped__(F, 3, True, "right")
     assert (curl.n_bottom, curl.n_top) == (3, 3) and curl.terms
+
+
+# -- the wraps: each strand capped as soon as its crossings end -----------------
+
+
+def _full_width_curl(field, n, positive, side):
+    """The reference curl: all n*n crossings on 3n top points, then n nested caps."""
+    if side == "right":
+        m = tensor(identity(field, n), cup(field, n))
+        return tl._cap_off(tl._apply_block_crossings(m, 0, n, n, positive), n, n)
+    m = tensor(cup(field, n), identity(field, n))
+    return tl._cap_off(tl._apply_block_crossings(m, n, n, n, positive), 0, n)
+
+
+def _composed_traciator(field, p, q, sign, memo):
+    """The reference traciator: wide wraps composed from single-strand wraps by
+    the composition law, narrow ones crossed in full and then capped."""
+    key = (p, q, sign)
+    if key in memo:
+        return memo[key]
+    if sign == "+" and q > 2:
+        out = compose(
+            _composed_traciator(field, 1 + p, q - 1, sign, memo),
+            _composed_traciator(field, p + q - 1, 1, sign, memo),
+        )
+    elif sign == "+":
+        m = tensor(identity(field, p + q), cup(field, q))
+        out = tl._cap_off(tl._apply_block_crossings(m, 0, p + q, q, True), q + p, q)
+    elif p > 2:
+        out = compose(
+            _composed_traciator(field, p - 1, q + 1, sign, memo),
+            _composed_traciator(field, 1, p - 1 + q, sign, memo),
+        )
+    else:
+        m = tensor(cup(field, p), identity(field, p + q))
+        out = tl._cap_off(tl._apply_block_crossings(m, p, p, p + q, False), 0, p)
+    memo[key] = out
+    return out
+
+
+def _same_terms(got, want):
+    """got equals the exact reference want term by term: the same diagrams,
+    with equal coefficients, or within the float tolerance of them."""
+    assert (got.n_bottom, got.n_top) == (want.n_bottom, want.n_top)
+    if got.field is want.field:
+        assert got.terms == want.terms
+        return
+    assert got.terms.keys() == want.terms.keys()
+    for d, c in want.terms.items():
+        assert abs(complex(got.terms[d]) - complex(c)) <= FloatField.TOL
+
+
+# one exact reference per level serves the exact and the float construction
+
+
+@pytest.mark.parametrize("k", [2, 4, 10])
+def test_early_capped_curls_equal_full_width_ones(k):
+    fields = scalar_field(k), scalar_field(k, exact=False)
+    for n in range(1, 6):
+        for positive in (True, False):
+            for side in ("right", "left"):
+                want = _full_width_curl(fields[0], n, positive, side)
+                for field in fields:
+                    got = tl._curl_middle.__wrapped__(field, n, positive, side)
+                    _same_terms(got, want)
+
+
+@pytest.mark.parametrize("k", [2, 4, 10])
+def test_direct_traciators_equal_composed_ones(k):
+    fields, memo = (scalar_field(k), scalar_field(k, exact=False)), {}
+    for p in range(7):
+        for q in range(7 - p):
+            for sign in "+-":
+                want = _composed_traciator(fields[0], p, q, sign, memo)
+                for field in fields:
+                    got = tl._traciator_middle.__wrapped__(field, p, q, sign)
+                    _same_terms(got, want)
+
+
+def test_traciators_compose_and_glue_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a traciator was composed or glued")
+
+    monkeypatch.setattr(tl, "compose", refuse)
+    monkeypatch.setattr(tl, "_glue", refuse)
+    for p in range(7):
+        for q in range(7 - p):
+            for sign in "+-":
+                mid = tl._traciator_middle.__wrapped__(F, p, q, sign)
+                assert (mid.n_bottom, mid.n_top) == (p + q, p + q)
 
 
 def _clear_tl_caches():
