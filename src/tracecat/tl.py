@@ -452,7 +452,9 @@ def braid_blocks(field, p: int, q: int, over: bool = True) -> TLMorphism:
 
 
 def _sandwich(x: TLObject, y: TLObject, middle: TLMorphism) -> TLMorphism:
-    return compose(tensor(y.proj, x.proj), compose(middle, tensor(x.proj, y.proj)))
+    bottom = tensor(x.proj, y.proj)
+    top = tensor(y.proj, x.proj)
+    return compose(top, compose(middle, bottom))
 
 
 def _cross(m: TLMorphism, t: int, a, b) -> TLMorphism:
@@ -478,8 +480,14 @@ def _cross(m: TLMorphism, t: int, a, b) -> TLMorphism:
 def _apply_block_crossings(
     m: TLMorphism, offset: int, p: int, q: int, over: bool
 ) -> TLMorphism:
-    """Braid top strands [offset, offset+p) past the next q on top of m, one
-    crossing at a time, the rightmost of the p strands moving first."""
+    """Braid strands [offset, offset+p) past [offset+p, offset+p+q) on top of m.
+
+    The p*q elementary crossings are applied one at a time by `_cross`, each
+    directly to every term of m, the rightmost of the p strands moving first.
+    Every intermediate morphism stays anchored to m's (typically projected,
+    hence small) bottom; no pure-strand block braid or full-width gluing is
+    built.
+    """
     a, b = _crossing_coefficients(m.field, over)
     for moved in range(p):
         for j in range(q):
@@ -547,12 +555,13 @@ def _curl_middle(field, n: int, positive: bool, side: str) -> TLMorphism:
 
 def twist_morphism(x: TLObject, positive: bool = True, side: str = "right") -> TLMorphism:
     """The curl through the object: braid a strand group around itself and close."""
-    if x.strands == 0:
+    field = x.proj.field
+    n = x.strands
+    if n == 0:
         return x.proj
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    middle = _curl_middle(x.proj.field, x.strands, positive, side)
-    return compose(x.proj, compose(middle, x.proj))
+    return compose(x.proj, compose(_curl_middle(field, n, positive, side), x.proj))
 
 
 def twist(x: TLObject, variant: int = 1):
@@ -586,11 +595,16 @@ def pivotal_trace(f: TLMorphism, side: str = "left"):
         raise ValueError("trace requires an endomorphism")
     field = f.field
     n = f.n_bottom
-    if side not in ("left", "right"):
+    if side == "right":
+        closed = compose(
+            cap(field, n), compose(tensor(f, identity(field, n)), cup(field, n))
+        )
+    elif side == "left":
+        closed = compose(
+            cap(field, n), compose(tensor(identity(field, n), f), cup(field, n))
+        )
+    else:
         raise ValueError("side must be 'left' or 'right'")
-    ident = identity(field, n)
-    middle = tensor(f, ident) if side == "right" else tensor(ident, f)
-    closed = compose(cap(field, n), compose(middle, cup(field, n)))
     return closed.terms.get(_diagram(0, 0, ()), field.zero)
 
 
@@ -608,7 +622,9 @@ def traciator_self_action(x: TLObject, y: TLObject, sign: str = "+") -> TLMorphi
     """
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
-    return _sandwich(x, y, _traciator_middle(x.proj.field, x.strands, y.strands, sign))
+    field = x.proj.field
+    middle = _traciator_middle(field, x.strands, y.strands, sign)
+    return _sandwich(x, y, middle)
 
 
 @lru_cache(maxsize=None)

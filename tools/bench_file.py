@@ -1,23 +1,25 @@
 """Write a bench file: end-to-end and layer timings of this tree and of a base.
 
-    python3 tools/bench_file.py --base <git-rev> --out BENCH_<n>.json \
-        [--runs 3] [--seconds 30] [--workloads tl-diagram,...]
+    python3 tools/bench_file.py --base <git-rev> --out BENCH_<n>.json [--runs 3]
 
 The base revision is exported with `git archive` into a temporary directory
 and measured the same way as the working tree this script sits in.
 
 * End-to-end rows: `perfbench/run.py --workload <w> --seed <i> --seconds <s>`
   run `--runs` times per tree on every workload, base and change alternating
-  (run i uses seed i on both).  `median_s` is the median `wall_s`; the row
-  also keeps every run's end-to-end metrics and whether it was correct.
+  (run i uses seed i on both).  The workloads and the run length <s> are
+  those of each tree's `BENCHMARK.json`, which must agree.  `median_s` is
+  the median `wall_s`; the row also keeps every run's end-to-end metrics
+  and whether it was correct.
 * Layer rows: timed in a fresh interpreter per tree and run, with
   tracecat's caches emptied before each row, as `perfbench` empties them
   before each job: `_curl_middle(field, n, True, "right")` for n <= 5 and
   one `_traciator_middle` at k = 4, and `identity_suite(k)` for
   k in {2, 4, 10, 16}, all exact.  `median_s` is the median over the runs.
 
-The output holds the machine, Python and numpy, and for each tree its git
-sha, `src_lines` and rows `{name, kind, median_s, runs}`.
+The output holds the machine, Python and numpy, the command with the base
+resolved to its sha, and for each tree its git sha, `src_lines` and rows
+`{name, kind, median_s, runs}`.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("tl-diagram", "tl-scalar", "derive", "queries")
 TRACIATOR = (2, 3, "+")  # p, q, sign at k = 4: the widest pair of the k = 4 suite
 
 
@@ -72,6 +73,12 @@ def run(cmd: list[str], tree: Path, env: dict | None = None, ok=(0,)) -> str:
     if proc.returncode not in ok:
         raise RuntimeError(f"{' '.join(cmd)} failed in {tree}:\n{proc.stderr[-2000:]}")
     return proc.stdout
+
+
+def benchmark_config(tree: Path) -> tuple[float, list[str]]:
+    """Run length and workload names from the tree's BENCHMARK.json."""
+    config = json.loads((tree / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return config["run_seconds"], [w["name"] for w in config["workloads"]]
 
 
 def e2e_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -124,8 +131,6 @@ def main(argv=None) -> int:
     parser.add_argument("--base", help="git revision to compare against")
     parser.add_argument("--out", help="bench file to write")
     parser.add_argument("--runs", type=int, default=3)
-    parser.add_argument("--seconds", type=float, default=30)
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
     parser.add_argument("--layer-child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.layer_child:
@@ -135,22 +140,26 @@ def main(argv=None) -> int:
         parser.error("--base and --out are required")
     if args.runs < 3:
         parser.error("--runs must be at least 3: rows are medians of three or more")
-    workloads = args.workloads.split(",")
+    base_sha = git("rev-parse", "--verify", args.base + "^{commit}")
     import numpy
 
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
         base_tree = Path(tmp)
         archive = subprocess.run(
-            ["git", "archive", args.base], cwd=ROOT, capture_output=True, check=True
+            ["git", "archive", base_sha], cwd=ROOT, capture_output=True, check=True
         ).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         trees = {"parent": base_tree, "change": ROOT}
+        seconds, workloads = benchmark_config(ROOT)
+        if benchmark_config(base_tree) != (seconds, workloads):
+            raise RuntimeError("the two trees' BENCHMARK.json differ in run_seconds or workloads")
         report = {
             "machine": f"nproc {os.cpu_count()}, CPU {cpu_model()}",
             "python": sys.version.split()[0],
             "numpy": numpy.__version__,
-            "command": "python3 tools/bench_file.py " + " ".join(argv or sys.argv[1:]),
-            "parent": describe(base_tree, args.base),
+            "command": f"python3 tools/bench_file.py --base {base_sha} --out {args.out}"
+            f" --runs {args.runs}",
+            "parent": describe(base_tree, base_sha),
             "change": describe(ROOT, None),
         }
         e2e = {(tag, w): [] for tag in trees for w in workloads}
@@ -160,7 +169,7 @@ def main(argv=None) -> int:
             order = list(trees.items())[:: 1 if i % 2 == 0 else -1]
             for workload in workloads:
                 for tag, tree in order:
-                    e2e[tag, workload].append(e2e_run(tree, workload, i, args.seconds))
+                    e2e[tag, workload].append(e2e_run(tree, workload, i, seconds))
                     print(f"# run {i} {tag} {workload}: {e2e[tag, workload][-1]}", flush=True)
             for tag, tree in order:
                 layers[tag].append(layer_run(tree))
