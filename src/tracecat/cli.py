@@ -302,10 +302,7 @@ def cmd_verify(args) -> int:
     if run_tl:
         levels = [args.k] if args.k is not None else [2, 4, 10, 16]
         for k in levels:
-            caps = {}
-            if args.bound:
-                caps = {"pair_cap": args.bound, "triple_cap": args.bound}
-            report = identity_suite(k, exact=not args.float, **caps)
+            report = identity_suite(k, exact=not args.float, strand_cap=args.bound or None)
             lines.append(f"-- identity suite, level {k} --")
             lines.extend(report.lines())
             if not report.ok:
@@ -336,8 +333,11 @@ def cmd_derive(args) -> int:
         return 1
     regenerated = package_text(result.data)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(regenerated)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(regenerated)
+        except OSError as exc:
+            raise CliError(f"{args.out}: cannot write: {exc.strerror or exc}", 1) from None
         print(f"wrote {args.out}")
     symmetry = len(result.symmetries)
     print(

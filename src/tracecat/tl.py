@@ -17,6 +17,11 @@ of Kauffman-Lins), without gluing a full-width diagram.  The wraps behind
 curls and traciators cap each strand as soon as its last crossing is done,
 so every intermediate morphism has as few top points as possible.
 
+A projected wrap (traciator, block braid or twist) is the unprojected wrap
+after the incoming projector only: the traciators, the braiding and the
+twist are natural, and Jones-Wenzl projectors slide through crossings and
+around caps, so the outgoing projector would change nothing.
+
 Simple objects are modelled by Jones-Wenzl projectors: the level-k label
 n corresponds to the projector on n-1 strands.  The pivotal structure is
 strict (caps and cups are plain arcs, the double dual is the identity on
@@ -277,7 +282,6 @@ def tensor(f: TLMorphism, g: TLMorphism) -> TLMorphism:
     return TLMorphism(f.field, nb, nt, terms)
 
 
-@lru_cache(maxsize=None)
 def _tensor_diagrams(df: PlanarDiagram, dg: PlanarDiagram) -> PlanarDiagram:
     nb, nt = df.n_bottom + dg.n_bottom, df.n_top + dg.n_top
 
@@ -300,7 +304,9 @@ _DELTA_POWERS: dict[object, list] = {}
 
 
 def _delta_powers(field):
-    powers = _DELTA_POWERS.setdefault(field, [field.one, field.loop_value()])
+    powers = _DELTA_POWERS.get(field)
+    if powers is None:
+        powers = _DELTA_POWERS[field] = [field.one, field.loop_value()]
 
     def get(n: int):
         while len(powers) <= n:
@@ -451,12 +457,6 @@ def braid_blocks(field, p: int, q: int, over: bool = True) -> TLMorphism:
     return _apply_block_crossings(identity(field, p + q), 0, p, q, over)
 
 
-def _sandwich(x: TLObject, y: TLObject, middle: TLMorphism) -> TLMorphism:
-    bottom = tensor(x.proj, y.proj)
-    top = tensor(y.proj, x.proj)
-    return compose(top, compose(middle, bottom))
-
-
 def _cross(m: TLMorphism, t: int, a, b) -> TLMorphism:
     """The crossing a id + b e at top positions (t, t+1) on top of m.  On each
     term e joins the partners of t and t+1 and pairs t with t+1 (a loop if paired)."""
@@ -554,14 +554,15 @@ def _curl_middle(field, n: int, positive: bool, side: str) -> TLMorphism:
 
 
 def twist_morphism(x: TLObject, positive: bool = True, side: str = "right") -> TLMorphism:
-    """The curl through the object: braid a strand group around itself and close."""
+    """The curl through the object: braid a strand group around itself and
+    close, after x's projector (which the curl carries to its top)."""
     field = x.proj.field
     n = x.strands
     if n == 0:
         return x.proj
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    return compose(x.proj, compose(_curl_middle(field, n, positive, side), x.proj))
+    return compose(_curl_middle(field, n, positive, side), x.proj)
 
 
 def twist(x: TLObject, variant: int = 1):
@@ -618,13 +619,14 @@ def traciator_self_action(x: TLObject, y: TLObject, sign: str = "+") -> TLMorphi
     identity and the half-braiding is the braiding, so the wrapping strand
     is realised by a block braiding closed off with a cup/cap pair:
     the '+' version sends y around (over), the '-' version sends x around
-    the other way (under).
+    the other way (under).  It is applied after the projector of x (x) y
+    only: the wrap carries it to the projector of y (x) x on top.
     """
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     field = x.proj.field
     middle = _traciator_middle(field, x.strands, y.strands, sign)
-    return _sandwich(x, y, middle)
+    return compose(middle, tensor(x.proj, y.proj))
 
 
 @lru_cache(maxsize=None)
@@ -703,24 +705,19 @@ def jw_by_annihilation(n: int, field) -> TLMorphism:
     return TLMorphism(field, n, n, {d: basis[idx[d]][ncols] for d in diagrams})
 
 
-DEFAULT_STRAND_CAPS = {2: (6, 6), 4: (5, 5), 10: (4, 4), 16: (4, 4)}
+DEFAULT_STRAND_CAPS = {2: 6, 4: 5, 10: 4, 16: 4}
 
 
-def identity_suite(
-    k: int,
-    exact: bool = True,
-    pair_cap: int | None = None,
-    triple_cap: int | None = None,
-) -> SuiteReport:
+def identity_suite(k: int, exact: bool = True, strand_cap: int | None = None) -> SuiteReport:
     """Run the full morphism-level identity suite at level k.
 
-    Caps are total strand counts for the two- and three-object checks and
-    keep every intermediate diagram space below 10^4 diagrams.
+    The strand cap bounds the total strand count of the two- and
+    three-object checks and keeps every intermediate diagram space below
+    10^4 diagrams.
     """
     field = scalar_field(k, exact=exact)
-    caps = DEFAULT_STRAND_CAPS.get(k, (4, 4))
-    pair_cap = caps[0] if pair_cap is None else pair_cap
-    triple_cap = caps[1] if triple_cap is None else triple_cap
+    if strand_cap is None:
+        strand_cap = DEFAULT_STRAND_CAPS.get(k, 4)
 
     checks: list[CheckResult] = []
 
@@ -784,7 +781,7 @@ def identity_suite(
     run("reidemeister_1_fails_by_twist", reidemeister_1)
 
     def jw_checks():
-        for n in range(min(k + 1, pair_cap) + 1):
+        for n in range(min(k + 1, strand_cap) + 1):
             p = jones_wenzl(n, field).proj
             if compose(p, p) != p:
                 return f"JW({n}) not idempotent"
@@ -840,16 +837,16 @@ def identity_suite(
         (a, b)
         for a in labels
         for b in labels
-        if 0 < strand_total((a, b)) <= pair_cap
+        if 0 < strand_total((a, b)) <= strand_cap
     ]
     triple_labels = [
         (a, b, c)
         for a in labels
         for b in labels
         for c in labels
-        if 0 < strand_total((a, b, c)) <= triple_cap
+        if 0 < strand_total((a, b, c)) <= strand_cap
     ]
-    single_labels = [a for a in labels if a - 1 <= max(pair_cap - 1, 2)]
+    single_labels = [a for a in labels if a - 1 <= max(strand_cap - 1, 2)]
 
     def traciator_units():
         for a in single_labels:
@@ -920,13 +917,12 @@ def identity_suite(
     def traciator_braiding_twist():
         for a, b in pair_labels:
             x, y = obj((a,)), obj((b,))
-            beta = _sandwich(x, y, braid_blocks(field, x.strands, y.strands, True))
+            xy = tensor(x.proj, y.proj)
+            beta = compose(braid_blocks(field, x.strands, y.strands, True), xy)
             rhs = compose(beta, tensor(x.proj, twist_morphism(y, True, "right")))
             if tau((a,), (b,), "+") != rhs:
                 return f"tau != braiding o (id x twist) at {(a, b)}"
-            beta_inv = _sandwich(
-                x, y, braid_blocks(field, x.strands, y.strands, False)
-            )
+            beta_inv = compose(braid_blocks(field, x.strands, y.strands, False), xy)
             rhs_inv = compose(
                 beta_inv, tensor(twist_morphism(x, False, "right"), y.proj)
             )

@@ -184,6 +184,15 @@ def test_derive_writes_output(capsys, tmp_path):
     assert out_path.read_text() == (data_dir() / "d4_su2_4.pkg").read_text()
 
 
+@pytest.mark.parametrize("where", ["missing/regen.pkg", "."])
+def test_derive_to_an_unwritable_path_is_one_error_line(capsys, tmp_path, where):
+    out_path = tmp_path / where  # a missing directory, or a directory
+    code, _, err = run(capsys, "derive", "--builtin", "d4_su2_4", "--out", str(out_path))
+    assert code == 1
+    assert err.startswith(f"error: {out_path}: cannot write: ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_derive_no_solution(capsys, tmp_path):
     pkg = tmp_path / "d5_su2_6.pkg"
     save_package(ade_action("d5", 6, unit="1"), pkg)

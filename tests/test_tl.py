@@ -224,6 +224,20 @@ def test_delta_powers_follow_a_rebuilt_field(exact):
     cache.cache_clear()
 
 
+def test_delta_powers_evaluate_delta_once_per_field(monkeypatch):
+    calls = []
+    loop_value = type(F).loop_value
+
+    def counting(field):
+        calls.append(field)
+        return loop_value(field)
+
+    monkeypatch.setattr(tl, "_DELTA_POWERS", {})
+    monkeypatch.setattr(type(F), "loop_value", counting)
+    assert tl._delta_powers(F)(2) == tl._delta_powers(F)(1) * DELTA
+    assert calls == [F]
+
+
 def test_identity_suite_small_level():
     report = identity_suite(2)
     assert report.ok, [c for c in report.checks if not c.passed]
@@ -237,7 +251,7 @@ def test_identity_suite_failure_names_the_exception_type(monkeypatch):
         raise ValueError("inconsistent linear system")
 
     monkeypatch.setattr(tl, "jw_by_annihilation", inconsistent)
-    report = identity_suite(2, pair_cap=2, triple_cap=2)
+    report = identity_suite(2, strand_cap=2)
     assert (
         "FAIL  jw_unique_by_annihilation  "
         "(error: ValueError: inconsistent linear system)"
@@ -522,3 +536,76 @@ def test_diagram_tables_stay_within_their_bound(monkeypatch):
         assert jw_by_annihilation(n, F) == jones_wenzl(n, F).proj
         assert len(tl._DIAGRAMS) <= 10 and len(tl._GLUE_CACHE) <= 10
     _clear_tl_caches()
+
+
+def test_tensor_interns_after_the_diagram_table_is_emptied():
+    f, g = identity(F, 1), cup(F)
+    tensor(f, g)
+    tl._DIAGRAMS.clear()
+    (d,) = tensor(f, g).terms
+    assert d is tl._DIAGRAMS.get((d.n_bottom, d.n_top, d.pairing))
+
+
+# -- projected wraps: one projector, carried through by naturality --------------
+
+
+def test_projected_wraps_compose_once(monkeypatch):
+    x, y = simple_object(2, F), simple_object(3, F)
+    xy = x.tensor(y)
+    calls = []
+    compose_ = tl.compose
+
+    def counting(f, g):
+        calls.append(f)
+        return compose_(f, g)
+
+    monkeypatch.setattr(tl, "compose", counting)
+    for sign in "+-":
+        calls.clear()
+        traciator_self_action(x, y, sign)
+        assert len(calls) == 1
+    for positive in (True, False):
+        for side in ("right", "left"):
+            calls.clear()
+            twist_morphism(xy, positive, side)
+            assert len(calls) == 1
+
+
+def _two_sided(bottom, middle, top):
+    """The reference projected wrap: the middle between both projectors."""
+    return compose(top.proj, compose(middle, bottom.proj))
+
+
+def _product(field, labels):
+    out = unit_object(field)
+    for a in labels:
+        out = out.tensor(simple_object(a, field))
+    return out
+
+
+@pytest.mark.parametrize("k, width", [(2, 5), (4, 5), (10, 4)])
+def test_wraps_projected_once_equal_two_sided_ones(k, width):
+    exact, fields = scalar_field(k), (scalar_field(k), scalar_field(k, exact=False))
+    labels = [a for a in range(1, k + 2) if a - 1 <= width]
+    pairs = [(a, b) for a in labels for b in labels if a + b - 2 <= width]
+    for a, b in pairs:
+        xy, yx = _product(exact, (a, b)), _product(exact, (b, a))
+        p, q = a - 1, b - 1
+        for sign in "+-":
+            want = _two_sided(xy, tl._traciator_middle(exact, p, q, sign), yx)
+            for field in fields:
+                x, y = simple_object(a, field), simple_object(b, field)
+                _same_terms(traciator_self_action(x, y, sign), want)
+        for over in (True, False):
+            want = _two_sided(xy, braid_blocks(exact, p, q, over), yx)
+            for field in fields:
+                got = compose(braid_blocks(field, p, q, over), _product(field, (a, b)).proj)
+                _same_terms(got, want)
+    # curls on every simple and every two-factor product of positive width
+    for parts in [(a,) for a in labels if a > 1] + [ab for ab in pairs if sum(ab) > 2]:
+        x = _product(exact, parts)
+        for positive in (True, False):
+            for side in ("right", "left"):
+                want = _two_sided(x, tl._curl_middle(exact, x.strands, positive, side), x)
+                for field in fields:
+                    _same_terms(twist_morphism(_product(field, parts), positive, side), want)

@@ -13,9 +13,12 @@ and measured the same way as the working tree this script sits in.
   and whether it was correct.
 * Layer rows: timed in a fresh interpreter per tree and run, with
   tracecat's caches emptied before each row, as `perfbench` empties them
-  before each job: `_curl_middle(field, n, True, "right")` for n <= 5 and
-  one `_traciator_middle` at k = 4, and `identity_suite(k)` for
-  k in {2, 4, 10, 16}, all exact.  `median_s` is the median over the runs.
+  before each job: `_curl_middle(field, n, True, "right")` for n <= 5,
+  one `_traciator_middle`, and on the simples x, y of labels 3 and 4
+  `traciator_self_action(x, y, "+")` and `twist_morphism(x (x) y)` (their
+  unprojected wraps built untimed first, so these rows time the
+  projection), all at k = 4; and `identity_suite(k)` for k in
+  {2, 4, 10, 16}; all exact.  `median_s` is the median over the runs.
 
 The output holds the machine, Python and numpy, the command with the base
 resolved to its sha, and for each tree its git sha, `src_lines` and rows
@@ -37,6 +40,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACIATOR = (2, 3, "+")  # p, q, sign at k = 4: the widest pair of the k = 4 suite
+PAIR = (3, 4)  # the labels of that pair's simples
 
 
 def layer_child() -> None:
@@ -49,19 +53,35 @@ def layer_child() -> None:
 
     clearers = cache_clearers()
 
-    def timed(fn, *args) -> float:
+    def timed(fn, *args, setup=lambda field: ()) -> float:
         for clear in clearers:
             clear()
-        field = scalar_field(4)  # built outside the timed call
+        field = scalar_field(4)  # built outside the timed call, as is setup(field)
+        args = (*setup(field), *args)
         start = time.perf_counter()
         fn(field, *args)
         return time.perf_counter() - start
+
+    def pair(field):
+        """The simples of PAIR and their product, with the unprojected wraps
+        of the projected rows below already built."""
+        x, y = (tl.simple_object(a, field) for a in PAIR)
+        tl._traciator_middle(field, x.strands, y.strands, "+")
+        tl._curl_middle(field, x.strands + y.strands, True, "right")
+        return x, y, x.tensor(y)
 
     rows = {}
     for n in range(1, 6):
         rows[f"tl._curl_middle.n{n}"] = timed(tl._curl_middle, n, True, "right")
     p, q, sign = TRACIATOR
     rows[f"tl._traciator_middle.p{p}q{q}{sign}"] = timed(tl._traciator_middle, p, q, sign)
+    a, b = PAIR
+    rows[f"tl.traciator_self_action.x{a}y{b}+"] = timed(
+        lambda field, x, y, xy: tl.traciator_self_action(x, y, "+"), setup=pair
+    )
+    rows[f"tl.twist_morphism.x{a}y{b}"] = timed(
+        lambda field, x, y, xy: tl.twist_morphism(xy), setup=pair
+    )
     for k in (2, 4, 10, 16):
         # the suite builds its own field, as a perfbench job does
         rows[f"tl.identity_suite.k{k}"] = timed(lambda field, k: tl.identity_suite(k), k)
