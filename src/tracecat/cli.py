@@ -266,6 +266,8 @@ def cmd_dims(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.k is not None and args.k < 0:
+        raise CliError("level must be nonnegative", 1)
     failures = 0
     lines: list[str] = []
 
@@ -411,6 +413,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.bound is not None and args.bound < 0:
+            raise CliError("bound must be nonnegative", 2)
         return args.fn(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

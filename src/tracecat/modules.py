@@ -20,6 +20,7 @@ symmetries of the graph.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -467,6 +468,14 @@ def _quotient_by_symmetry(
     return [seen[key] for key in sorted(seen)]
 
 
+def _integer_rows(rows: list[list[Fraction]], ncols: int) -> tuple[np.ndarray, list[int]]:
+    """Rows of Fractions as an object array of Python ints, each row scaled
+    by the lcm of its denominators, and those scales."""
+    dens = [math.lcm(*(v.denominator for v in row)) for row in rows]
+    ints = [[v.numerator * (d // v.denominator) for v in row] for row, d in zip(rows, dens)]
+    return np.array(ints, dtype=object).reshape(len(rows), ncols), dens
+
+
 class _FusionSolver:
     """Exhaustive search for mN, with propagation driven by a worklist.
 
@@ -477,12 +486,14 @@ class _FusionSolver:
         u[z_t] + sum_f R[t][f] u[f] = (E b)[t]      (f over the free columns),
 
     built once by `solve`, and every cell keeps a watch list of the
-    equations it appears in.  One forcing rule closes the values: an
-    equation with a single unknown cell fixes it (to a nonnegative integer
-    within `_cell_bound`), and an equation with none must hold.  Every
-    (z, x) row keeps a running sum of mN[z][x][w] d[w], which for any valid
-    mN is d[z] d[x].  Once the unit column fixes the dual involution, values
-    also propagate through the based-ring symmetries
+    equations it appears in.  The right-hand sides of all m**2 pairs are
+    reduced together, as one integer product of E with the stacked b.  One
+    forcing rule closes the values: an equation with a single unknown cell
+    fixes it (to a nonnegative integer within `_cell_bound`), and an
+    equation with none must hold.  Every (z, x) row keeps a running sum of
+    mN[z][x][w] d[w], which for any valid mN is d[z] d[x].  Once the unit
+    column fixes the dual involution, values also propagate through the
+    based-ring symmetries
 
         mN[a][b][c] = mN[b*][a*][c*]      (duality compatibility)
         mN[a][b][c] = mN[b][c*][a*]       (cyclic Frobenius relation)
@@ -511,6 +522,8 @@ class _FusionSolver:
         The pivot rows give [R | E] with R = E phi in reduced row echelon
         form, so E b is the reduced right-hand side; the rows that add no
         pivot give [0 | K] with K phi = 0, so phi u = b is solvable iff K b = 0.
+        `_reduce_rhs` applies E and K to every b at once, each scaled to
+        integer rows, one denominator per row.
         """
         nb = self.phi.shape[0]
         basis: dict[int, list[Fraction]] = {}
@@ -527,11 +540,25 @@ class _FusionSolver:
         self.transform = [basis[c][self.m :] for c in self.pivots]
         self.left_kernel = kernel
 
-    def _reduce_rhs(self, b: list[int]) -> list[Fraction] | None:
-        nonzero = [(i, v) for i, v in enumerate(b) if v != 0]
-        if any(sum(k[i] * v for i, v in nonzero) != 0 for k in self.left_kernel):
+    def _reduce_rhs(self) -> list[list[Fraction]] | None:
+        """E b for every pair (x, w), at index x m + w, or None when K b != 0
+        for one of them.
+
+        The right-hand sides are the columns of one nb x m**2 integer matrix,
+        B[i, x m + w] = mats[i][w][x].  K B and E B are exact integer products
+        in the dtype `fusion._exact_dtype` picks, and entry (t, x m + w) of
+        E B over row t's denominator is (E b)[t] for the pair (x, w).
+        """
+        nb, m = self.phi.shape[0], self.m
+        B = self.mats.transpose(0, 2, 1).reshape(nb, m * m)
+        E, dens = _integer_rows(self.transform, nb)
+        K, _ = _integer_rows(self.left_kernel, nb)
+        dtype = _exact_dtype((nb, E, B), (nb, K, B))
+        B = B.astype(dtype)
+        if (K.astype(dtype) @ B).any():
             return None
-        return [sum((e[i] * v for i, v in nonzero), Fraction(0)) for e in self.transform]
+        EB = E.astype(dtype) @ B
+        return [[Fraction(int(v), d) for v, d in zip(col, dens)] for col in EB.T]
 
     def _cell_bound(self, z: int, x: int, w: int) -> int:
         d = self.dims
@@ -541,13 +568,12 @@ class _FusionSolver:
         m = self.m
         self.equations: list[tuple[list, Fraction]] = []
         self.watch: dict[tuple[int, int, int], list[int]] = {}
+        red = self._reduce_rhs()
+        if red is None:
+            return []
         for x in range(m):
             for w in range(m):
-                b = [int(self.mats[i][w][x]) for i in range(self.mats.shape[0])]
-                red = self._reduce_rhs(b)
-                if red is None:
-                    return []
-                for row, rhs in zip(self.reduced, red):
+                for row, rhs in zip(self.reduced, red[x * m + w]):
                     terms = [((c, x, w), row[c]) for c in range(m) if row[c] != 0]
                     for cell, _ in terms:
                         self.watch.setdefault(cell, []).append(len(self.equations))

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fusion import FusionError, ObjectVec, ValidationReport, _exact_dtype, fuse
+from .fusion import FusionError, FusionRing, ObjectVec, ValidationReport, _exact_dtype, fuse
 from .linalg import reduce_row
 from .modules import ModuleAction, ModuleError, ModuleTensorData
 
@@ -184,7 +184,11 @@ def check_forgetful(data: ModuleTensorData | ModuleAction) -> ValidationReport:
 
     First the intertwining law Tr(c . x) = c (x) Tr(x) as matrices, then an
     independent reconstruction of the whole trace matrix from the internal
-    End of the unit by propagation along the module graph.
+    End of the unit by propagation along the module graph.  When the base
+    label "2" generates the base ring (every SU(2)_k ring does), M(c_i) and
+    N(c_i) are one polynomial in M(2) and N(2), so the reconstruction solves
+    T M(2) = N(2) T alone; the law for every other label follows, and is
+    checked once more on the result.
     """
     action = data.action
     failures: list[str] = []
@@ -215,7 +219,10 @@ def _rebuild_trace_matrix(action: ModuleAction) -> np.ndarray | None:
 
     Seeds the unit column with the internal End of the unit object and
     pushes values along the module graph using Tr(gen . m) = gen (x) Tr(m),
-    where gen is the base generator whose action matrix is the graph.
+    where gen is the base generator whose action matrix is the graph.  The
+    columns left over are solved exactly (from the generator's relations
+    alone when it generates the base ring), and the result must intertwine
+    the action of every base label i.
     """
     base = action.base
     if base.rank < 2:
@@ -268,11 +275,16 @@ def _solve_residual_columns(
 ) -> np.ndarray | None:
     """Exact solve for columns the tree propagation could not separate.
 
-    Stacks every intertwining relation sum_l M(c_i)[l][j] T[:, l] =
+    Stacks the intertwining relations sum_l M(c_i)[l][j] T[:, l] =
     N(c_i) T[:, j] and solves for the unknown columns over the rationals.
+    When label 1 ("2") generates the base ring, every M(c_i) and N(c_i) of
+    a module action is the same rational polynomial in M(c_1) and N(c_1),
+    so the relations for i = 1 alone have the same rational solutions as
+    all of them, and only those are stacked; otherwise every label's are.
     """
     base = action.base
     r, m = base.rank, action.rank
+    labels = [1] if _label_one_generates(base) else range(r)
     unknown_cols = [l for l in range(m) if not known[l]]
     index = {}
     for t, l in enumerate(unknown_cols):
@@ -282,7 +294,7 @@ def _solve_residual_columns(
     unknown_set = set(unknown_cols)
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
-    for i in range(r):
+    for i in labels:
         Mi = action.mats[i]
         Ni = base.action_matrix(i)
         for j in range(m):
@@ -323,6 +335,21 @@ def _solve_residual_columns(
         for a in range(r):
             out[a, l] = solution[t * r + a]
     return out
+
+
+def _label_one_generates(ring: FusionRing) -> bool:
+    """Whether every basis element of `ring` is a polynomial in e_1.
+
+    Exact and O(r**2): e_0 must be the unit, and for every n in 1..r-2 the
+    product e_1 e_n = sum_j N[1][n][j] e_j must hold e_{n+1} with a nonzero
+    coefficient and nothing past it; then induction on n writes each
+    e_{n+1} through e_1 e_n and lower elements.  True for every SU(2)_k
+    ring, where e_1 = "2".
+    """
+    N = ring.N
+    return ring.unit == 0 and all(
+        N[1, n, n + 1] != 0 and not N[1, n, n + 2 :].any() for n in range(1, ring.rank - 1)
+    )
 
 
 def _solve_affine_nonneg(rows, rhs, nvars):

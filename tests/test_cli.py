@@ -290,3 +290,35 @@ def test_unreadable_package_exits_one_with_one_line(capsys, tmp_path, verb, kind
     code, out, err = run(capsys, verb, "--package", str(path), *extra)
     assert code == 1 and out == ""
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--suite", "tl", "--k", "-1"),
+        ("verify", "--suite", "tl", "--k", "-2"),
+        ("verify", "--all", "--k", "-1"),
+    ],
+)
+def test_negative_levels_on_verify_exit_one(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: level must be nonnegative\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--suite", "tl", "--k", "2", "--bound", "-1"),
+        ("end", "--builtin", "e7_su2_16", "--bound", "-5"),
+        ("trace", "--builtin", "d4_su2_4", "--bound", "-1"),
+        ("fuse", "--k", "4", "--word", "2*2", "--bound", "-1"),
+        ("dims", "--k", "4", "--bound", "-1"),
+        ("derive", "--builtin", "d4_su2_4", "--bound", "-1"),
+    ],
+)
+def test_negative_bounds_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: bound must be nonnegative\n"
+    assert len(err.splitlines()) == 1 and "Traceback" not in err

@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from tracecat import modules
 from tracecat.cyclo import CycloField
 from tracecat.linalg import reduce_row
-from tracecat.modules import ModuleTensorData, _FusionSolver
-from tracecat.packages import BUILTIN_FILES, load_builtin
+from tracecat.modules import ModuleTensorData, _FusionSolver, regular_module
+from tracecat.packages import BUILTIN_FILES, ade_action, load_builtin
 
 ONE = Fraction(1)
 
@@ -92,3 +93,58 @@ def test_fusion_solver_transform_and_left_kernel(name):
     assert rank + len(solver.left_kernel) == nb
     for t, z in enumerate(solver.pivots):
         assert [row[z] for row in solver.reduced] == [int(s == t) for s in range(rank)]
+
+
+def per_pair_equations(solver: _FusionSolver) -> list:
+    """The solver's equations, each right-hand side the Fraction sum
+    sum(e[i] * b[i]) over one transform row e and one pair's b."""
+    m, nb = solver.m, solver.phi.shape[0]
+    out = []
+    for x in range(m):
+        for w in range(m):
+            b = [int(solver.mats[i][w][x]) for i in range(nb)]
+            for row, e in zip(solver.reduced, solver.transform):
+                terms = [((c, x, w), row[c]) for c in range(m) if row[c] != 0]
+                out.append((terms, sum((e[i] * b[i] for i in range(nb)), Fraction(0))))
+    return out
+
+
+def solved(case: str) -> _FusionSolver:
+    if case in TENSOR_BUILTINS:
+        action = load_builtin(case).action
+    elif case == "d4_module_ring":
+        # 3 and 3' are dual to each other, so this action is not symmetric
+        action = regular_module(load_builtin("d4_su2_4").module_ring()).action
+    else:
+        kind, level, unit = case.split("_")
+        action = ade_action(kind, int(level), unit=unit)
+    solver = _FusionSolver(action, action.phi_matrix(), action.unit_module)
+    solver.solve()
+    return solver
+
+
+# d10 with unit 3 has no fusion tensor, but its transform has denominators 2
+BATCH_CASES = TENSOR_BUILTINS + ["d8_12_1", "d10_16_1", "d12_20_1", "d10_16_3", "d4_module_ring"]
+
+
+@pytest.mark.parametrize("case", BATCH_CASES)
+def test_batched_rhs_matches_per_pair_reference(case):
+    solver = solved(case)
+    assert solver.equations == per_pair_equations(solver)
+    assert all(type(rhs) is Fraction for _, rhs in solver.equations)
+    if case == "d10_16_3":
+        assert any(rhs.denominator != 1 for _, rhs in solver.equations)
+
+
+@pytest.mark.parametrize("case", ["e8_su2_28", "d12_20_1", "d10_16_3", "d4_module_ring"])
+def test_batched_rhs_in_python_ints_matches_per_pair_reference(case, monkeypatch):
+    picked = []
+
+    def python_ints(*sums):
+        picked.append(sums)
+        return object
+
+    monkeypatch.setattr(modules, "_exact_dtype", python_ints)
+    solver = solved(case)
+    assert picked  # E B and K B were taken in the object branch
+    assert solver.equations == per_pair_equations(solver)

@@ -11,6 +11,7 @@ from tracecat.modules import (
     ModuleError,
     ModuleTensorData,
     NoConsistentFusion,
+    _FusionSolver,
     action_automorphisms,
     chebyshev_action,
     derive_module_fusion,
@@ -19,7 +20,13 @@ from tracecat.modules import (
     validate_tensor_data,
 )
 from tracecat.packages import BUILTIN_FILES, ade_action, dynkin_graph, load_builtin
-from tracecat.trace import trace_object
+from tracecat.trace import (
+    check_adjunction,
+    check_forgetful,
+    check_splitting_iso,
+    check_traciator_iso,
+    trace_object,
+)
 
 
 def einsum_validate_action(action: ModuleAction) -> list[str]:
@@ -334,3 +341,29 @@ def test_validate_action_memory_is_cubic_in_the_rank():
     finally:
         tracemalloc.stop()
     assert peak < 40 * 2**20  # the two r**2 m**2 arrays alone took 221 MB
+
+
+def test_rhs_outside_the_image_of_phi_has_no_fusion():
+    d5 = ade_action("d5", 6, unit="1")
+    assert _FusionSolver(d5, d5.phi_matrix(), 0)._reduce_rhs() is None  # some K b != 0
+    with pytest.raises(NoConsistentFusion) as excinfo:
+        derive_module_fusion(d5)
+    assert str(excinfo.value) == "no consistent fusion tensor for d5_su2_6 with unit 1"
+
+
+@pytest.mark.parametrize("kind,level", [("d18", 32), ("d22", 40)])
+def test_derive_and_verify_d_even_beyond_the_builtins(kind, level):
+    result = derive_module_fusion(ade_action(kind, level, unit="1"))
+    assert result.n_solutions == 1
+    m = result.data.action.rank
+    fork_swap = tuple(range(m - 2)) + (m - 1, m - 2)
+    assert sorted(result.symmetries) == [tuple(range(m)), fork_swap]
+    data = result.data
+    for check in (
+        validate_tensor_data,
+        check_splitting_iso,
+        check_traciator_iso,
+        check_adjunction,
+        check_forgetful,
+    ):
+        assert check(data).failures == []

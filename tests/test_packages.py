@@ -122,36 +122,40 @@ def test_partial_mfusion_rejected(tmp_path):
         load_package(bad)
 
 
-def test_base_file_reference(tmp_path):
-    # a module over the golden-ratio ring, pulled in as the module ring of
-    # the level-3 tadpole package
+FIB_REGULAR = """\
+package fib_reg
+base file t2_su2_3
+msimples u t
+unit u
+action 1
+1 0
+0 1
+action 2
+0 1
+1 1
+mfusion u u
+1 0
+mfusion u t
+0 1
+mfusion t u
+0 1
+mfusion t t
+1 1
+"""
+
+
+def load_fib_regular(tmp_path):
+    """The regular module of the golden-ratio ring, a `base file` package
+    whose base is the module ring of the level-3 tadpole package."""
     t2 = derive_module_fusion(ade_action("t2", 3, unit="1")).data
     save_package(t2, tmp_path / "t2_su2_3.pkg")
-    fib_regular = "\n".join(
-        [
-            "package fib_reg",
-            "base file t2_su2_3",
-            "msimples u t",
-            "unit u",
-            "action 1",
-            "1 0",
-            "0 1",
-            "action 2",
-            "0 1",
-            "1 1",
-            "mfusion u u",
-            "1 0",
-            "mfusion u t",
-            "0 1",
-            "mfusion t u",
-            "0 1",
-            "mfusion t t",
-            "1 1",
-        ]
-    )
     p = tmp_path / "fib_reg.pkg"
-    p.write_text(fib_regular + "\n")
-    data = load_package(p)
+    p.write_text(FIB_REGULAR)
+    return load_package(p)
+
+
+def test_base_file_reference(tmp_path):
+    data = load_fib_regular(tmp_path)
     assert isinstance(data, ModuleTensorData)
     assert data.base.labels == ("1", "2")
     assert data.base.N[1, 1, 1] == 1  # the golden-ratio relation survives

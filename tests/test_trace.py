@@ -1,13 +1,24 @@
+import functools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_fusion import perturb
+from test_packages import load_fib_regular
 
-from tracecat.fusion import FusionError, ObjectVec
-from tracecat.modules import ModuleAction, ModuleError, ModuleTensorData
-from tracecat.packages import BUILTIN_FILES, load_builtin
+from tracecat import trace
+from tracecat.fusion import FusionError, ObjectVec, verlinde_su2
+from tracecat.modules import (
+    ModuleAction,
+    ModuleError,
+    ModuleTensorData,
+    derive_module_fusion,
+    regular_module,
+)
+from tracecat.packages import BUILTIN_FILES, ade_action, load_builtin
 from tracecat.trace import (
     check_adjunction,
     check_forgetful,
@@ -330,3 +341,104 @@ def test_traciator_iso_object_branch_agrees():
     large = ModuleTensorData(action=data.action, mN=mN * 2**40, mdual=data.mdual)
     assert check_traciator_iso(large).failures == check_traciator_iso(small).failures
     assert check_traciator_iso(small).failures
+
+
+@functools.cache
+def derived(kind: str, level: int) -> ModuleTensorData:
+    return derive_module_fusion(ade_action(kind, level, unit="1")).data
+
+
+def all_labels_residual(action: ModuleAction, T: np.ndarray, known: list[bool]):
+    """The residual columns solved from the relations of every base label.
+
+    Column-major, vec(T M(c_i) - N(c_i) T) = (M(c_i)^T (x) I - I (x) N(c_i))
+    vec(T), so each label contributes the rows of that operator that touch
+    an unknown column, the known columns moved to the right-hand side.
+    This is the row set before the generator-only rows; constant rows are
+    left to the caller's re-check, as they were then.
+    """
+    base = action.base
+    r, m = base.rank, action.rank
+    unknown = [l for l in range(m) if not known[l]]
+    mask = np.repeat(~np.array(known), r)  # vec index l r + a is T[a, l]
+    vec = T.T.reshape(-1)
+    rows, rhs = [], []
+    for i in range(r):
+        L = np.kron(action.mats[i].T, np.eye(r, dtype=np.int64))
+        L -= np.kron(np.eye(m, dtype=np.int64), base.action_matrix(i))
+        A, b = L[:, mask], -(L[:, ~mask] @ vec[~mask])
+        touches = A.any(axis=1)
+        rows += [[Fraction(int(v)) for v in row] for row in A[touches]]
+        rhs += [Fraction(int(v)) for v in b[touches]]
+    solution = trace._solve_affine_nonneg(rows, rhs, len(unknown) * r)
+    if solution is None:
+        return None
+    out = T.copy()
+    out[:, unknown] = np.array(solution).reshape(len(unknown), r).T
+    return out
+
+
+def rebuild_case(case: str, tmp_path) -> ModuleTensorData:
+    if case == "fib_reg":
+        return load_fib_regular(tmp_path)
+    if case == "d4_module_ring":
+        # label 1 does not generate this base ring: every label's rows are used
+        return regular_module(load_builtin("d4_su2_4").module_ring())
+    if case in TENSOR_BUILTINS:
+        return load_builtin(case)
+    kind, level = case.split("_")
+    return derived(kind, int(level))
+
+
+@pytest.mark.parametrize(
+    "case", TENSOR_BUILTINS + ["d8_12", "d12_20", "d18_32", "fib_reg", "d4_module_ring"]
+)
+def test_generator_rebuild_matches_all_label_reference(case, monkeypatch, tmp_path):
+    data = rebuild_case(case, tmp_path)
+    solved = []
+    original = trace._solve_residual_columns
+
+    def both(action, T, known):
+        got = original(action, T, known)
+        solved.append((got, all_labels_residual(action, T, known)))
+        return got
+
+    monkeypatch.setattr(trace, "_solve_residual_columns", both)
+    rebuilt = trace._rebuild_trace_matrix(data.action)
+    assert np.array_equal(rebuilt, trace_matrix(data).T)
+    # regular modules propagate along a path; every other case has a fork
+    assert len(solved) == (case not in ("a5_su2_4", "fib_reg"))
+    for got, reference in solved:
+        assert np.array_equal(got, reference) and np.array_equal(got, rebuilt)
+
+
+def test_d12_rebuild_stacks_the_generator_rows_only(monkeypatch):
+    counts = []
+    original = trace._solve_affine_nonneg
+
+    def count(rows, rhs, nvars):
+        counts.append(len(rows))
+        return original(rows, rhs, nvars)
+
+    monkeypatch.setattr(trace, "_solve_affine_nonneg", count)
+    assert check_forgetful(derived("d12", 20)).ok
+    assert len(counts) == 1 and counts[0] < 200  # every label's rows were 1,993
+
+
+def test_label_one_generates():
+    assert all(trace._label_one_generates(verlinde_su2(k)) for k in range(101))
+    golden = derive_module_fusion(ade_action("t2", 3, unit="1")).data.module_ring()
+    assert trace._label_one_generates(golden)
+    assert not trace._label_one_generates(load_builtin("d4_su2_4").module_ring())
+
+
+def test_corrupted_d12_action_detected_by_the_rebuild():
+    # the generator's relations still solve, but the re-check of label 19 fails
+    action = derived("d12", 20).action
+    mats = np.array(action.mats)
+    mats[18][7][6] += 1
+    bad = ModuleAction("bad", action.base, action.base_spec, action.msimples, mats, 0)
+    assert check_forgetful(bad).failures == [
+        "trace does not intertwine the action of 19",
+        "could not rebuild the trace matrix along the module graph",
+    ]

@@ -17,8 +17,11 @@ and measured the same way as the working tree this script sits in.
   one `_traciator_middle`, and on the simples x, y of labels 3 and 4
   `traciator_self_action(x, y, "+")` and `twist_morphism(x (x) y)` (their
   unprojected wraps built untimed first, so these rows time the
-  projection), all at k = 4; and `identity_suite(k)` for k in
-  {2, 4, 10, 16}; all exact.  `median_s` is the median over the runs.
+  projection), all at k = 4; `identity_suite(k)` for k in
+  {2, 4, 10, 16}; all exact.  Then `derive_module_fusion` of the D12/k=20
+  and D22/k=40 actions (each built untimed first) and `check_forgetful` on
+  the derived D12/k=20 package (derived untimed first).  `median_s` is the
+  median over the runs.
 
 The output holds the machine, Python and numpy, the command with the base
 resolved to its sha, and for each tree its git sha, `src_lines` and rows
@@ -50,6 +53,9 @@ def layer_child() -> None:
 
     from tracecat import tl
     from tracecat.cyclo import scalar_field
+    from tracecat.modules import derive_module_fusion
+    from tracecat.packages import ade_action
+    from tracecat.trace import check_forgetful
 
     clearers = cache_clearers()
 
@@ -85,6 +91,15 @@ def layer_child() -> None:
     for k in (2, 4, 10, 16):
         # the suite builds its own field, as a perfbench job does
         rows[f"tl.identity_suite.k{k}"] = timed(lambda field, k: tl.identity_suite(k), k)
+    for kind, k in (("d12", 20), ("d22", 40)):
+        rows[f"modules.derive_module_fusion.{kind}_su2_{k}"] = timed(
+            lambda field, action: derive_module_fusion(action),
+            setup=lambda field: (ade_action(kind, k, unit="1"),),
+        )
+    rows["trace.check_forgetful.d12_su2_20"] = timed(
+        lambda field, data: check_forgetful(data),
+        setup=lambda field: (derive_module_fusion(ade_action("d12", 20, unit="1")).data,),
+    )
     json.dump({"tracecat": tl.__file__, "rows": rows}, sys.stdout)
 
 
