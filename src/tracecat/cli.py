@@ -120,7 +120,10 @@ def _object_from_tokens(tokens: list[str], labels, space) -> ObjectVec:
             raise CliError(f"cannot parse term {' '.join(term)!r}", 2)
         if label not in labels:
             raise CliError(f"unknown label {label!r}", 2)
-        mult[labels.index(label)] += count
+        j = labels.index(label)
+        mult[j] += count
+        if mult[j] >= 2**63:
+            raise CliError(f"multiplicity {mult[j]} of {label!r} does not fit in 64 bits", 2)
     return ObjectVec(space, tuple(mult))
 
 

@@ -9,13 +9,12 @@ A ModuleTensorData adds the module fusion tensor mN (making the module
 simples a based ring in their own right) and the induced ring map of the
 free-module functor.  derive_module_fusion reconstructs mN from the action
 alone.  Compatibility with the free-module functor is one linear system per
-pair of module simples, reduced once to equations that each force a cell
-when only that cell is unknown.  A worklist of newly assigned cells carries
-these forcings, the unit, the dimension sums of each row and, once the unit
-column has fixed the duality, the based-ring symmetries; an exhaustive
-search over the cells left free, with every candidate validated as a based
-ring, finds all solutions, which are quotiented by the unit-fixing
-symmetries of the graph.
+pair of module simples, reduced once to integer equations that each force a
+cell when only that cell is unknown.  A worklist of newly assigned cells
+carries these forcings, the unit and, once the unit column has fixed the
+duality, the based-ring symmetries; an exhaustive search over the cells left
+free, with every candidate validated as a based ring, finds all solutions,
+which are quotiented by the unit-fixing symmetries of the graph.
 """
 
 from __future__ import annotations
@@ -468,12 +467,12 @@ def _quotient_by_symmetry(
     return [seen[key] for key in sorted(seen)]
 
 
-def _integer_rows(rows: list[list[Fraction]], ncols: int) -> tuple[np.ndarray, list[int]]:
+def _integer_rows(rows: list[list[Fraction]], ncols: int) -> np.ndarray:
     """Rows of Fractions as an object array of Python ints, each row scaled
-    by the lcm of its denominators, and those scales."""
+    by the lcm of its denominators."""
     dens = [math.lcm(*(v.denominator for v in row)) for row in rows]
     ints = [[v.numerator * (d // v.denominator) for v in row] for row, d in zip(rows, dens)]
-    return np.array(ints, dtype=object).reshape(len(rows), ncols), dens
+    return np.array(ints, dtype=object).reshape(len(rows), ncols)
 
 
 class _FusionSolver:
@@ -481,19 +480,18 @@ class _FusionSolver:
 
     For each pair (x, w), the values u[z] = mN[z][x][w] satisfy the linear
     system  sum_z phi[i][z] u[z] = mats[i][w][x].  Row reduction of phi turns
-    it into one equation per pivot row t,
+    it into one integer equation per pivot row t,
 
-        u[z_t] + sum_f R[t][f] u[f] = (E b)[t]      (f over the free columns),
+        d_t u[z_t] + sum_f R[t][f] u[f] = (E b)[t]      (f over the free columns),
 
     built once by `solve`, and every cell keeps a watch list of the
     equations it appears in.  The right-hand sides of all m**2 pairs are
     reduced together, as one integer product of E with the stacked b.  One
     forcing rule closes the values: an equation with a single unknown cell
-    fixes it (to a nonnegative integer within `_cell_bound`), and an
-    equation with none must hold.  Every (z, x) row keeps a running sum of
-    mN[z][x][w] d[w], which for any valid mN is d[z] d[x].  Once the unit
-    column fixes the dual involution, values also propagate through the
-    based-ring symmetries
+    fixes it (its coefficient must divide the rest exactly, and the quotient
+    be a nonnegative integer within `_cell_bound`), and an equation with
+    none must hold.  Once the unit column fixes the dual involution, values
+    also propagate through the based-ring symmetries
 
         mN[a][b][c] = mN[b*][a*][c*]      (duality compatibility)
         mN[a][b][c] = mN[b][c*][a*]       (cyclic Frobenius relation)
@@ -503,8 +501,7 @@ class _FusionSolver:
     Propagation revisits only the equations and images of the cells
     assigned since its last call.  The search first tries 0 and 1 on the
     free cells of the unit column, which fixes the duality, then every value
-    up to the bound on the remaining free cells; a branch copies the values
-    and the row sums.
+    up to the bound on the remaining free cells; a branch copies the values.
     """
 
     def __init__(self, action: ModuleAction, phi: np.ndarray, unit: int):
@@ -517,48 +514,44 @@ class _FusionSolver:
         self._prepare_linear_system()
 
     def _prepare_linear_system(self) -> None:
-        """Reduce [phi | I] once.
+        """Reduce [phi | I] once, then scale every row to integers.
 
-        The pivot rows give [R | E] with R = E phi in reduced row echelon
-        form, so E b is the reduced right-hand side; the rows that add no
+        A pivot row is [R | E] with R = E phi in reduced row echelon form, so
+        phi u = b implies R u = E b; scaled by the lcm d_t of its
+        denominators, its pivot coefficient is d_t.  The rows that add no
         pivot give [0 | K] with K phi = 0, so phi u = b is solvable iff K b = 0.
-        `_reduce_rhs` applies E and K to every b at once, each scaled to
-        integer rows, one denominator per row.
         """
-        nb = self.phi.shape[0]
+        nb, m = self.phi.shape
         basis: dict[int, list[Fraction]] = {}
         kernel: list[list[Fraction]] = []
         for i in range(nb):
             row = [Fraction(int(v)) for v in self.phi[i]]
             row += [Fraction(int(t == i)) for t in range(nb)]
-            residue = reduce_row(basis, row, self.m, 0, Fraction(1))
+            residue = reduce_row(basis, row, m, 0, Fraction(1))
             if residue is not None:
-                kernel.append(residue[self.m :])
+                kernel.append(residue[m:])
         self.pivots = sorted(basis)
-        self.free_cols = [c for c in range(self.m) if c not in basis]
-        self.reduced = [basis[c][: self.m] for c in self.pivots]
-        self.transform = [basis[c][self.m :] for c in self.pivots]
-        self.left_kernel = kernel
+        self.free_cols = [c for c in range(m) if c not in basis]
+        rows = _integer_rows([basis[c] for c in self.pivots], m + nb)
+        self.reduced, self.rhs_rows = rows[:, :m], rows[:, m:]
+        self.left_kernel = _integer_rows(kernel, nb)
 
-    def _reduce_rhs(self) -> list[list[Fraction]] | None:
+    def _reduce_rhs(self) -> list[list[int]] | None:
         """E b for every pair (x, w), at index x m + w, or None when K b != 0
         for one of them.
 
         The right-hand sides are the columns of one nb x m**2 integer matrix,
-        B[i, x m + w] = mats[i][w][x].  K B and E B are exact integer products
-        in the dtype `fusion._exact_dtype` picks, and entry (t, x m + w) of
-        E B over row t's denominator is (E b)[t] for the pair (x, w).
+        B[i, x m + w] = mats[i][w][x], so K B and E B are two exact integer
+        products, in the dtype `fusion._exact_dtype` picks.
         """
         nb, m = self.phi.shape[0], self.m
         B = self.mats.transpose(0, 2, 1).reshape(nb, m * m)
-        E, dens = _integer_rows(self.transform, nb)
-        K, _ = _integer_rows(self.left_kernel, nb)
+        E, K = self.rhs_rows, self.left_kernel
         dtype = _exact_dtype((nb, E, B), (nb, K, B))
         B = B.astype(dtype)
         if (K.astype(dtype) @ B).any():
             return None
-        EB = E.astype(dtype) @ B
-        return [[Fraction(int(v), d) for v, d in zip(col, dens)] for col in EB.T]
+        return [[int(v) for v in col] for col in (E.astype(dtype) @ B).T]
 
     def _cell_bound(self, z: int, x: int, w: int) -> int:
         d = self.dims
@@ -566,55 +559,47 @@ class _FusionSolver:
 
     def solve(self) -> list[np.ndarray]:
         m = self.m
-        self.equations: list[tuple[list, Fraction]] = []
+        self.equations: list[tuple[list, int]] = []
         self.watch: dict[tuple[int, int, int], list[int]] = {}
         red = self._reduce_rhs()
         if red is None:
             return []
+        rows = [[(c, int(v)) for c, v in enumerate(row) if v] for row in self.reduced]
         for x in range(m):
             for w in range(m):
-                for row, rhs in zip(self.reduced, red[x * m + w]):
-                    terms = [((c, x, w), row[c]) for c in range(m) if row[c] != 0]
+                for row, rhs in zip(rows, red[x * m + w]):
+                    terms = [((c, x, w), coef) for c, coef in row]
                     for cell, _ in terms:
                         self.watch.setdefault(cell, []).append(len(self.equations))
                     self.equations.append((terms, rhs))
 
         vals: dict[tuple[int, int, int], int] = {}
-        sums: dict[tuple[int, int], tuple[float, int]] = {}
         for x in range(m):
             for w in range(m):
                 for cell in ((self.unit, x, w), (x, self.unit, w)):
-                    if not self._put(vals, sums, cell, int(x == w)):
+                    if not self._put(vals, cell, int(x == w)):
                         return []
-        if not self._propagate(vals, sums, None, None):
+        if not self._propagate(vals, None, None):
             return []
         self.unit_cells = sorted((f, x, self.unit) for f in self.free_cols for x in range(m))
         self.free_cells = sorted(
             (f, x, w) for f in self.free_cols for x in range(m) for w in range(m)
         )
         solutions: list[np.ndarray] = []
-        self._search(vals, sums, None, solutions)
+        self._search(vals, None, solutions)
         return solutions
 
-    def _put(self, vals, sums, cell, value) -> bool:
-        """Assign `cell`, checking its bound and the dimension sum of its row."""
+    def _put(self, vals, cell, value) -> bool:
+        """Assign `cell`, checking its bound."""
         old = vals.get(cell)
         if old is not None:
             return old == value
         if value < 0 or value > self._cell_bound(*cell):
             return False
         vals[cell] = value
-        z, x, w = cell
-        d = self.dims
-        tot, cnt = sums.get((z, x), (0.0, 0))
-        tot, cnt = tot + value * d[w], cnt + 1
-        sums[(z, x)] = (tot, cnt)
-        target = d[z] * d[x]
-        if cnt == self.m:
-            return abs(tot - target) <= 1e-8 * max(1.0, target)
-        return tot <= target * (1 + 1e-8) + 1e-8
+        return True
 
-    def _propagate(self, vals, sums, dual, todo) -> bool:
+    def _propagate(self, vals, dual, todo) -> bool:
         """Close `vals` under the forcing rule and, if `dual` is known, the
         symmetries.  `todo` lists the cells assigned since the last closure;
         None stands for every equation."""
@@ -638,8 +623,8 @@ class _FusionSolver:
                             return False
                         continue
                     cell, coef = unknown
-                    val = rem / coef
-                    if val.denominator != 1 or not self._put(vals, sums, cell, int(val)):
+                    val, rest = divmod(rem, coef)
+                    if rest or not self._put(vals, cell, val):
                         return False
                     todo.append(cell)
             if not todo:
@@ -651,18 +636,18 @@ class _FusionSolver:
                 v = vals[cell]
                 for img in ((dual[b], dual[a], dual[c]), (b, dual[c], dual[a]), (dual[c], a, dual[b])):
                     new = img not in vals
-                    if not self._put(vals, sums, img, v):
+                    if not self._put(vals, img, v):
                         return False
                     if new:
                         todo.append(img)
 
-    def _search(self, vals, sums, dual, solutions) -> None:
+    def _search(self, vals, dual, solutions) -> None:
         cells = self.unit_cells if dual is None else self.free_cells
         cell = next((c for c in cells if c not in vals), None)
         if cell is None and dual is None:
             dual = self._derive_dual(vals)
-            if dual is not None and self._propagate(vals, sums, dual, list(vals)):
-                self._search(vals, sums, dual, solutions)
+            if dual is not None and self._propagate(vals, dual, list(vals)):
+                self._search(vals, dual, solutions)
             return
         if cell is None:
             mN = self._assemble(vals)
@@ -671,40 +656,27 @@ class _FusionSolver:
             return
         values = (0, 1) if dual is None else range(self._cell_bound(*cell) + 1)
         for value in values:
-            state, state_sums = dict(vals), dict(sums)
-            if self._put(state, state_sums, cell, value) and self._propagate(
-                state, state_sums, dual, [cell]
-            ):
-                self._search(state, state_sums, dual, solutions)
+            state = dict(vals)
+            if self._put(state, cell, value) and self._propagate(state, dual, [cell]):
+                self._search(state, dual, solutions)
 
     def _derive_dual(self, vals) -> tuple[int, ...] | None:
+        """The involution z -> z* read off the unit column, if it is one."""
         dual = []
         for z in range(self.m):
-            mates = []
-            for x in range(self.m):
-                v = vals.get((z, x, self.unit))
-                if v is None or v < 0 or v > 1:
-                    return None
-                if v == 1:
-                    mates.append(x)
-            if len(mates) != 1:
+            row = [vals.get((z, x, self.unit)) for x in range(self.m)]
+            if not set(row) <= {0, 1} or row.count(1) != 1:
                 return None
-            dual.append(mates[0])
-        if sorted(dual) != list(range(self.m)):
-            return None
-        if any(dual[dual[z]] != z for z in range(self.m)):
+            dual.append(row.index(1))
+        if any(dual[d] != z for z, d in enumerate(dual)):
             return None
         return tuple(dual)
 
     def _assemble(self, vals) -> np.ndarray | None:
-        mN = np.zeros((self.m, self.m, self.m), dtype=np.int64)
-        for z in range(self.m):
-            for x in range(self.m):
-                for w in range(self.m):
-                    v = vals.get((z, x, w))
-                    if v is None:
-                        return None
-                    mN[z, x, w] = v
+        if len(vals) < self.m**3:
+            return None
+        mN = np.zeros((self.m,) * 3, dtype=np.int64)
+        mN[tuple(np.array(list(vals)).T)] = list(vals.values())
         return mN
 
     def _final_check(self, mN: np.ndarray, dual) -> bool:

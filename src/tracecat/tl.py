@@ -713,11 +713,15 @@ def identity_suite(k: int, exact: bool = True, strand_cap: int | None = None) ->
 
     The strand cap bounds the total strand count of the two- and
     three-object checks and keeps every intermediate diagram space below
-    10^4 diagrams.
+    10^4 diagrams.  Raises ValueError for a negative level or a cap below 1.
     """
-    field = scalar_field(k, exact=exact)
+    if k < 0:
+        raise ValueError("level must be nonnegative")
     if strand_cap is None:
         strand_cap = DEFAULT_STRAND_CAPS.get(k, 4)
+    if strand_cap < 1:
+        raise ValueError("strand cap must be at least 1")
+    field = scalar_field(k, exact=exact)
 
     checks: list[CheckResult] = []
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fusion import FusionError, FusionRing, ObjectVec, ValidationReport, _exact_dtype, fuse
+from .fusion import FusionError, FusionRing, ObjectVec, ValidationReport, _exact_dtype
 from .linalg import reduce_row
 from .modules import ModuleAction, ModuleError, ModuleTensorData
 
@@ -55,18 +55,8 @@ def trace_object(
     action = data.action
     if x.space != f"{action.name}.module" or len(x.mult) != action.rank:
         raise FusionError(f"object over {x.space} does not match module {action.name}")
-    return _tracer(data)(x)
-
-
-def _tracer(data: ModuleTensorData | ModuleAction):
-    """The trace on module objects of `data`, with the trace matrix taken once."""
     T = trace_matrix(data).T
-    name = data.action.base.name
-
-    def tr(x: ObjectVec) -> ObjectVec:
-        return ObjectVec(name, tuple(int(v) for v in T @ x.as_array()))
-
-    return tr
+    return ObjectVec(action.base.name, tuple(int(v) for v in T @ x.as_array()))
 
 
 def trace_of_word(data: ModuleTensorData, word) -> ObjectVec:
@@ -128,24 +118,26 @@ def check_adjunction(data: ModuleTensorData | ModuleAction) -> ValidationReport:
 
 
 def check_splitting_iso(data: ModuleTensorData) -> ValidationReport:
-    """Tr(x (x) Phi(c)) = Tr(x) (x) c for all simple x, c."""
+    """Tr(x (x) Phi(c)) = Tr(x) (x) c for all simple x, c.
+
+    Both sides, for every pair at once, are two matrix products in the dtype
+    `fusion._exact_dtype` picks.  Failures are listed in (x, c) index order.
+    """
     failures: list[str] = []
-    action = data.action
-    base = data.base
-    phi = action.phi_matrix()
-    tr = _tracer(data)
-    for j in range(action.rank):
-        x = action.basis(j)
-        tx = tr(x)
-        for i in range(base.rank):
-            phic = action.object_vec(phi[i])
-            lhs = tr(data.mfuse(x, phic))
-            rhs = fuse(base, tx, base.basis(i))
-            if lhs != rhs:
-                failures.append(
-                    f"splitting fails at (m={action.msimples[j]}, "
-                    f"c={base.labels[i]}): {lhs.mult} vs {rhs.mult}"
-                )
+    action, base = data.action, data.base
+    phi, N = action.phi_matrix(), base.N
+    T = trace_matrix(data).T
+    r, m = phi.shape
+    dtype = _exact_dtype((m * m, phi, data.mN, T), (r, T, N))
+    phi, mN, T, N = (a.astype(dtype) for a in (phi, data.mN, T, N))
+    # [x, c, i]: multiplicity of c_i in Tr(x (x) Phi(c)) and in Tr(x) (x) c
+    lhs = (phi @ mN) @ T.T
+    rhs = (T.T @ N.reshape(r, r * r)).reshape(m, r, r)
+    for j, i in np.argwhere((lhs != rhs).any(axis=2)):
+        failures.append(
+            f"splitting fails at (m={action.msimples[j]}, c={base.labels[i]}): "
+            f"{tuple(int(v) for v in lhs[j, i])} vs {tuple(int(v) for v in rhs[j, i])}"
+        )
     return ValidationReport(f"splitting {data.name}", failures)
 
 
@@ -194,14 +186,9 @@ def check_forgetful(data: ModuleTensorData | ModuleAction) -> ValidationReport:
     failures: list[str] = []
     tm = trace_matrix(data).T
     base = action.base
-    for i in range(base.rank):
-        lhs = tm @ action.mats[i]
-        rhs = base.action_matrix(i) @ tm
-        if not np.array_equal(lhs, rhs):
-            failures.append(
-                f"trace does not intertwine the action of {base.labels[i]}"
-            )
-            break
+    i = _first_unintertwined(action, tm)
+    if i is not None:
+        failures.append(f"trace does not intertwine the action of {base.labels[i]}")
     rebuilt = _rebuild_trace_matrix(action)
     if rebuilt is None:
         failures.append("could not rebuild the trace matrix along the module graph")
@@ -212,6 +199,14 @@ def check_forgetful(data: ModuleTensorData | ModuleAction) -> ValidationReport:
             f"(c={base.labels[i]}, m={action.msimples[j]})"
         )
     return ValidationReport(f"underlying object {action.name}", failures)
+
+
+def _first_unintertwined(action: ModuleAction, T: np.ndarray) -> int | None:
+    """The first base label i with T M(c_i) != N(c_i) T, or None."""
+    lhs = T @ action.mats
+    rhs = action.base.N.transpose(0, 2, 1) @ T  # N(c_i) = N[i].T
+    bad = np.flatnonzero((lhs != rhs).any(axis=(1, 2)))
+    return int(bad[0]) if bad.size else None
 
 
 def _rebuild_trace_matrix(action: ModuleAction) -> np.ndarray | None:
@@ -225,19 +220,16 @@ def _rebuild_trace_matrix(action: ModuleAction) -> np.ndarray | None:
     the action of every base label i.
     """
     base = action.base
-    if base.rank < 2:
-        seed = np.array(
-            [int(action.mats[i][action.unit_module][action.unit_module]) for i in range(base.rank)]
-        )
-        return seed.reshape(base.rank, 1)
     unit = action.unit_module
+    if base.rank < 2:
+        return action.mats[:, unit, unit].reshape(base.rank, 1)
     m = action.rank
     gen = 1  # the base label "2"
     A = action.mats[gen]
     N2 = base.action_matrix(gen)
     T = np.zeros((base.rank, m), dtype=np.int64)
     known = [False] * m
-    T[:, unit] = [int(action.mats[i][unit][unit]) for i in range(base.rank)]
+    T[:, unit] = action.mats[:, unit, unit]
     known[unit] = True
     progress = True
     while progress and not all(known):
@@ -264,10 +256,7 @@ def _rebuild_trace_matrix(action: ModuleAction) -> np.ndarray | None:
         T = _solve_residual_columns(action, T, known)
         if T is None:
             return None
-    for i in range(base.rank):
-        if not np.array_equal(T @ action.mats[i], base.action_matrix(i) @ T):
-            return None
-    return T
+    return T if _first_unintertwined(action, T) is None else None
 
 
 def _solve_residual_columns(
@@ -275,65 +264,45 @@ def _solve_residual_columns(
 ) -> np.ndarray | None:
     """Exact solve for columns the tree propagation could not separate.
 
-    Stacks the intertwining relations sum_l M(c_i)[l][j] T[:, l] =
-    N(c_i) T[:, j] and solves for the unknown columns over the rationals.
-    When label 1 ("2") generates the base ring, every M(c_i) and N(c_i) of
-    a module action is the same rational polynomial in M(c_1) and N(c_1),
-    so the relations for i = 1 alone have the same rational solutions as
-    all of them, and only those are stacked; otherwise every label's are.
+    Stacks the intertwining relations T M(c_i) = N(c_i) T and solves for the
+    unknown columns u_t over the rationals.  With T0 the known columns (the
+    unknown ones zero) and U[b, t] = T[b, u_t], row (j, a) of label i reads
+
+        sum_(t, b) (M(c_i)[u_t][j] [a = b] - [j = u_t] N(c_i)[a][b]) U[b, t]
+            = -(T0 M(c_i) - N(c_i) T0)[a, j],
+
+    an m r x (unknowns) r operator, never the full (m r)**2 one.  When label
+    1 ("2") generates the base ring, every M(c_i) and N(c_i) of a module
+    action is the same rational polynomial in M(c_1) and N(c_1), so the
+    relations for i = 1 alone have the same rational solutions as all of
+    them, and only those are stacked; otherwise every label's are.  Rows
+    without an unknown are left to the caller's re-check.
     """
     base = action.base
     r, m = base.rank, action.rank
     labels = [1] if _label_one_generates(base) else range(r)
-    unknown_cols = [l for l in range(m) if not known[l]]
-    index = {}
-    for t, l in enumerate(unknown_cols):
-        for a in range(r):
-            index[(l, a)] = t * r + a
-    nvars = len(unknown_cols) * r
-    unknown_set = set(unknown_cols)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    unknown = [l for l in range(m) if not known[l]]
+    select = np.eye(m, dtype=np.int64)[unknown]  # [t, j] = [j = u_t]
+    eye = np.eye(r, dtype=np.int64)
+    T0 = np.where(known, T, 0)
+    rows: list[list[int]] = []
+    rhs: list[int] = []
     for i in labels:
-        Mi = action.mats[i]
-        Ni = base.action_matrix(i)
-        for j in range(m):
-            touches = j in unknown_set or any(
-                Mi[l][j] != 0 for l in unknown_cols
-            )
-            if not touches:
-                continue  # constant rows are re-verified by the caller
-            # component a of: sum_l Mi[l][j] T[:, l] - Ni T[:, j] = 0
-            for a in range(r):
-                row = [Fraction(0)] * nvars
-                const = Fraction(0)
-                for l in range(m):
-                    c = int(Mi[l][j])
-                    if c == 0:
-                        continue
-                    if known[l]:
-                        const += c * int(T[a, l])
-                    else:
-                        row[index[(l, a)]] += c
-                if known[j]:
-                    const -= sum(int(Ni[a][b]) * int(T[b, j]) for b in range(r))
-                else:
-                    for b in range(r):
-                        c = int(Ni[a][b])
-                        if c:
-                            row[index[(j, b)]] -= c
-                if any(row):
-                    rows.append(row)
-                    rhs.append(-const)
-                elif const != 0:
-                    return None
-    solution = _solve_affine_nonneg(rows, rhs, nvars)
+        Mi, Ni = action.mats[i], base.action_matrix(i)
+        A = np.einsum("stj,sab->jatb", np.stack([Mi[unknown], -select]), np.stack([eye, Ni]))
+        A = A.reshape(m * r, len(unknown) * r)
+        # doubled lengths keep the difference of the two products below 2**53
+        dtype = _exact_dtype((2 * m, T0, Mi), (2 * r, Ni, T0))
+        T0i, Mi, Ni = T0.astype(dtype), Mi.astype(dtype), Ni.astype(dtype)
+        b = -(T0i @ Mi - Ni @ T0i).T.reshape(-1)
+        keep = A.any(axis=1)
+        rows += A[keep].tolist()
+        rhs += [int(v) for v in b[keep]]
+    solution = _solve_affine_nonneg(rows, rhs, len(unknown) * r)
     if solution is None:
         return None
     out = T.copy()
-    for t, l in enumerate(unknown_cols):
-        for a in range(r):
-            out[a, l] = solution[t * r + a]
+    out[:, unknown] = np.array(solution).reshape(len(unknown), r).T
     return out
 
 

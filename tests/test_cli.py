@@ -322,3 +322,32 @@ def test_negative_bounds_are_usage_errors(capsys, argv):
     assert code == 2 and out == ""
     assert err == "error: bound must be nonnegative\n"
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+BIG = "99999999999999999999"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("trace", "--builtin", "d4_su2_4", "--object", f"{BIG}*1"),
+        ("trace", "--builtin", "d4_su2_4", "--word", f"({BIG}*1)*3"),
+        ("end", "--builtin", "d4_su2_4", "--object", f"{BIG}*1"),
+        ("fuse", "--k", "4", "--word", f"({BIG}*2)"),
+        # the total of a label's terms counts, not each term alone
+        ("trace", "--builtin", "d4_su2_4", "--object", f"{2**62}*1+{2**62}*1"),
+    ],
+)
+def test_oversized_multiplicities_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: multiplicity ") and err.endswith(" does not fit in 64 bits\n")
+    assert len(err.splitlines()) == 1
+
+
+def test_largest_64_bit_multiplicity_is_accepted(capsys):
+    # machine format: the text format would repeat the label 2**63 - 1 times
+    argv = ("trace", "--builtin", "a5_su2_4", "--format", "tsv", "--object", f"{2**63 - 1}*1")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == f"1^{2**63 - 1}\n"

@@ -1,5 +1,7 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tracecat import modules
@@ -77,35 +79,68 @@ TENSOR_BUILTINS = [
 ]
 
 
+def fraction_reduction(phi) -> tuple[list[int], list[list[Fraction]], list[list[Fraction]]]:
+    """Pivots, pivot rows [R | E] and left kernel rows K of [phi | I], reduced
+    over the rationals: the solver's integer rows before scaling."""
+    nb, m = phi.shape
+    rows = [
+        [Fraction(int(v)) for v in phi[i]] + [Fraction(int(t == i)) for t in range(nb)]
+        for i in range(nb)
+    ]
+    basis, residues = reduce_all(rows, m)
+    pivots = sorted(basis)
+    return pivots, [basis[c] for c in pivots], [row[m:] for row in residues]
+
+
+def fusion_solver(action) -> _FusionSolver:
+    return _FusionSolver(action, action.phi_matrix(), action.unit_module)
+
+
 @pytest.mark.parametrize("name", TENSOR_BUILTINS)
 def test_fusion_solver_transform_and_left_kernel(name):
-    action = load_builtin(name).action
-    phi = action.phi_matrix()
-    solver = _FusionSolver(action, phi, action.unit_module)
-    nb, m = phi.shape
-
-    def times_phi(vec):
-        return [sum(vec[i] * int(phi[i][c]) for i in range(nb)) for c in range(m)]
-
-    assert [times_phi(e) for e in solver.transform] == solver.reduced
-    assert all(times_phi(k) == [0] * m for k in solver.left_kernel)
-    rank = len(solver.pivots)
-    assert rank + len(solver.left_kernel) == nb
-    for t, z in enumerate(solver.pivots):
-        assert [row[z] for row in solver.reduced] == [int(s == t) for s in range(rank)]
+    solver = fusion_solver(load_builtin(name).action)
+    phi = solver.phi.astype(object)
+    R, E, K = solver.reduced, solver.rhs_rows, solver.left_kernel
+    assert all(type(v) is int for v in [*R.flat, *E.flat, *K.flat])
+    assert np.array_equal(E @ phi, R) and not (K @ phi).any()
+    pivots, rows, kernel = fraction_reduction(solver.phi)
+    assert solver.pivots == pivots and len(pivots) + len(K) == phi.shape[0]
+    # each integer row is the rational one times its pivot coefficient d_t,
+    # the lcm of its denominators, so the row's entries have no common factor
+    for t, (z, row) in enumerate(zip(pivots, rows)):
+        d = R[t, z]
+        assert [Fraction(v, d) for v in (*R[t], *E[t])] == row
+        assert [R[s, z] for s in range(len(pivots))] == [d * (s == t) for s in range(len(pivots))]
+        assert math.gcd(*R[t], *E[t]) == 1
+    for k_int, k_frac in zip(K, kernel):
+        scale = next(Fraction(a) / b for a, b in zip(k_int, k_frac) if b)
+        assert [scale * b for b in k_frac] == list(k_int)
 
 
 def per_pair_equations(solver: _FusionSolver) -> list:
-    """The solver's equations, each right-hand side the Fraction sum
-    sum(e[i] * b[i]) over one transform row e and one pair's b."""
+    """The solver's equations over the rationals, each pivot coefficient 1:
+    one Fraction sum sum(e[i] * b[i]) per reduced row [R | E] and pair's b."""
     m, nb = solver.m, solver.phi.shape[0]
+    _, rows, _ = fraction_reduction(solver.phi)
     out = []
     for x in range(m):
         for w in range(m):
             b = [int(solver.mats[i][w][x]) for i in range(nb)]
-            for row, e in zip(solver.reduced, solver.transform):
+            for row in rows:
                 terms = [((c, x, w), row[c]) for c in range(m) if row[c] != 0]
-                out.append((terms, sum((e[i] * b[i] for i in range(nb)), Fraction(0))))
+                rhs = sum((row[m + i] * b[i] for i in range(nb)), Fraction(0))
+                out.append((terms, rhs))
+    return out
+
+
+def rational_equations(solver: _FusionSolver) -> list:
+    """The solver's integer equations, each divided by its pivot coefficient."""
+    out = []
+    for e, (terms, rhs) in enumerate(solver.equations):
+        t = e % len(solver.pivots)
+        d = solver.reduced[t, solver.pivots[t]]
+        assert type(rhs) is int and all(type(coef) is int for _, coef in terms)
+        out.append(([(cell, Fraction(coef, d)) for cell, coef in terms], Fraction(rhs, d)))
     return out
 
 
@@ -118,22 +153,23 @@ def solved(case: str) -> _FusionSolver:
     else:
         kind, level, unit = case.split("_")
         action = ade_action(kind, int(level), unit=unit)
-    solver = _FusionSolver(action, action.phi_matrix(), action.unit_module)
+    solver = fusion_solver(action)
     solver.solve()
     return solver
 
 
-# d10 with unit 3 has no fusion tensor, but its transform has denominators 2
+# d10 with unit 3 has no fusion tensor, but its reduced rows have denominators 2
 BATCH_CASES = TENSOR_BUILTINS + ["d8_12_1", "d10_16_1", "d12_20_1", "d10_16_3", "d4_module_ring"]
 
 
 @pytest.mark.parametrize("case", BATCH_CASES)
 def test_batched_rhs_matches_per_pair_reference(case):
     solver = solved(case)
-    assert solver.equations == per_pair_equations(solver)
-    assert all(type(rhs) is Fraction for _, rhs in solver.equations)
+    assert rational_equations(solver) == per_pair_equations(solver)
+    pivot_coefficients = [solver.reduced[t, z] for t, z in enumerate(solver.pivots)]
+    assert all(d > 0 for d in pivot_coefficients)
     if case == "d10_16_3":
-        assert any(rhs.denominator != 1 for _, rhs in solver.equations)
+        assert any(d != 1 for d in pivot_coefficients)
 
 
 @pytest.mark.parametrize("case", ["e8_su2_28", "d12_20_1", "d10_16_3", "d4_module_ring"])
@@ -147,4 +183,4 @@ def test_batched_rhs_in_python_ints_matches_per_pair_reference(case, monkeypatch
     monkeypatch.setattr(modules, "_exact_dtype", python_ints)
     solver = solved(case)
     assert picked  # E B and K B were taken in the object branch
-    assert solver.equations == per_pair_equations(solver)
+    assert rational_equations(solver) == per_pair_equations(solver)

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,7 @@ from tracecat.modules import (
     validate_action,
     validate_tensor_data,
 )
-from tracecat.packages import BUILTIN_FILES, ade_action, dynkin_graph, load_builtin
+from tracecat.packages import BUILTIN_FILES, ade_action, dynkin_graph, load_builtin, package_text
 from tracecat.trace import (
     check_adjunction,
     check_forgetful,
@@ -367,3 +368,33 @@ def test_derive_and_verify_d_even_beyond_the_builtins(kind, level):
         check_forgetful,
     ):
         assert check(data).failures == []
+
+
+# the units that admit a module fusion tensor, with the first 16 hex digits of
+# the sha256 of the derived package text, as derived by the solver with
+# dimension row sums and Fraction equations; every other unit has none
+DERIVED_UNITS = {
+    "d4_su2_4": {"1": "8bce53ece02e6b51", "3": "9b727f3cf0cb9b4d", "3'": "f7bcb76ef3137bd6"},
+    "e6_su2_10": {"1": "14f62bfbe967e987", "6": "859e56b036731334"},
+    "e8_su2_28": {"1": "6d49b814cb99282a"},
+    "d10_su2_16": {"1": "f4eb07b270b649ff"},
+    "e7_su2_16": {},
+    "a17_su2_16": {"1": "b16c9974bdef1b3a", "17": "1b45800a01e206b3"},
+    "a5_su2_4": {"1": "9ba586997909a7e7", "5": "e9ec545d5031290e"},
+}
+
+
+@pytest.mark.parametrize("name", BUILTIN_FILES + ("a5_su2_4",))
+def test_derive_verdict_for_every_unit_of_every_builtin(name):
+    action = load_builtin(name).action
+    got = {}
+    for unit in action.msimples:
+        try:
+            result = derive_module_fusion(action, unit)
+        except NoConsistentFusion as exc:
+            assert str(exc) == f"no consistent fusion tensor for {name} with unit {unit}"
+            continue
+        assert result.n_solutions == 1
+        text = package_text(result.data).encode()
+        got[unit] = hashlib.sha256(text).hexdigest()[:16]
+    assert got == DERIVED_UNITS[name]

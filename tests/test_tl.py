@@ -246,6 +246,20 @@ def test_identity_suite_small_level():
     assert "quantum_dims_nonzero" in names
 
 
+@pytest.mark.parametrize(
+    "k,strand_cap,message",
+    [
+        (-1, None, "level must be nonnegative"),
+        (-2, 3, "level must be nonnegative"),
+        (2, 0, "strand cap must be at least 1"),
+        (2, -1, "strand cap must be at least 1"),
+    ],
+)
+def test_identity_suite_rejects_bad_arguments(k, strand_cap, message):
+    with pytest.raises(ValueError, match=message):
+        identity_suite(k, strand_cap=strand_cap)
+
+
 def test_identity_suite_failure_names_the_exception_type(monkeypatch):
     def inconsistent(n, field):
         raise ValueError("inconsistent linear system")

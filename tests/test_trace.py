@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from test_fusion import perturb
 from test_packages import load_fib_regular
 
 from tracecat import trace
-from tracecat.fusion import FusionError, ObjectVec, verlinde_su2
+from tracecat.fusion import FusionError, ObjectVec, fuse, verlinde_su2
 from tracecat.modules import (
     ModuleAction,
     ModuleError,
@@ -343,6 +344,60 @@ def test_traciator_iso_object_branch_agrees():
     assert check_traciator_iso(small).failures
 
 
+def loop_splitting_failures(data: ModuleTensorData) -> list[str]:
+    """The failures of check_splitting_iso, one fuse and one mfuse call per
+    pair (x, c)."""
+    failures: list[str] = []
+    action, base = data.action, data.base
+    phi = action.phi_matrix()
+    for j in range(action.rank):
+        x = action.basis(j)
+        tx = trace_object(data, x)
+        for i in range(base.rank):
+            lhs = trace_object(data, data.mfuse(x, action.object_vec(phi[i])))
+            rhs = fuse(base, tx, base.basis(i))
+            if lhs != rhs:
+                failures.append(
+                    f"splitting fails at (m={action.msimples[j]}, "
+                    f"c={base.labels[i]}): {lhs.mult} vs {rhs.mult}"
+                )
+    return failures
+
+
+@pytest.mark.parametrize("name", TENSOR_BUILTINS + ["d4_module_ring"])
+def test_splitting_iso_matches_loop_reference_on_builtins(name):
+    if name == "d4_module_ring":
+        # 3 and 3' are dual to each other, so N[a][c] != N[c][a] in this base
+        data = regular_module(load_builtin("d4_su2_4").module_ring())
+    else:
+        data = load_builtin(name)
+    assert check_splitting_iso(data).failures == loop_splitting_failures(data) == []
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_splitting_iso_matches_loop_reference_on_perturbations(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    data = load_builtin(TENSOR_BUILTINS[seed % len(TENSOR_BUILTINS)])
+    # |.| keeps every multiplicity nonnegative, as mfuse requires
+    mN = np.abs(perturb(data.mN, rng, 1 + seed % 3))
+    # at 2**40 only the left side scales, so the witnesses are new ones
+    copies = [ModuleTensorData(data.action, mN * scale, data.mdual) for scale in (1, 2**40)]
+    expected = [loop_splitting_failures(bad) for bad in copies]
+    assert all(expected)
+    assert [check_splitting_iso(bad).failures for bad in copies] == expected
+    # one mN factor keeps these sums below 2**53, so Python ints are forced
+    monkeypatch.setattr(trace, "_exact_dtype", lambda *sums: object)
+    assert [check_splitting_iso(bad).failures for bad in copies] == expected
+
+
+def test_splitting_iso_makes_no_mfuse_calls(monkeypatch):
+    def refuse(self, x, y):
+        raise AssertionError("mfuse called")
+
+    monkeypatch.setattr(ModuleTensorData, "mfuse", refuse)
+    assert check_splitting_iso(load_builtin("a31_su2_30")).ok
+
+
 @functools.cache
 def derived(kind: str, level: int) -> ModuleTensorData:
     return derive_module_fusion(ade_action(kind, level, unit="1")).data
@@ -412,6 +467,14 @@ def test_generator_rebuild_matches_all_label_reference(case, monkeypatch, tmp_pa
         assert np.array_equal(got, reference) and np.array_equal(got, rebuilt)
 
 
+@pytest.mark.parametrize("case", ["d12_20", "d4_module_ring"])
+def test_residual_solve_in_python_ints_matches(case, monkeypatch, tmp_path):
+    action = rebuild_case(case, tmp_path).action
+    expected = trace._rebuild_trace_matrix(action)
+    monkeypatch.setattr(trace, "_exact_dtype", lambda *sums: object)
+    assert np.array_equal(trace._rebuild_trace_matrix(action), expected)
+
+
 def test_d12_rebuild_stacks_the_generator_rows_only(monkeypatch):
     counts = []
     original = trace._solve_affine_nonneg
@@ -442,3 +505,15 @@ def test_corrupted_d12_action_detected_by_the_rebuild():
         "trace does not intertwine the action of 19",
         "could not rebuild the trace matrix along the module graph",
     ]
+
+
+def test_check_forgetful_memory_stays_below_one_kronecker_operator():
+    data = derived("d22", 40)
+    tracemalloc.start()
+    try:
+        assert check_forgetful(data).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (m r)**2 int64 Kronecker operator of the relations alone is 6.5 MB
+    assert peak < 4 * 2**20

@@ -19,9 +19,10 @@ and measured the same way as the working tree this script sits in.
   unprojected wraps built untimed first, so these rows time the
   projection), all at k = 4; `identity_suite(k)` for k in
   {2, 4, 10, 16}; all exact.  Then `derive_module_fusion` of the D12/k=20
-  and D22/k=40 actions (each built untimed first) and `check_forgetful` on
-  the derived D12/k=20 package (derived untimed first).  `median_s` is the
-  median over the runs.
+  and D22/k=40 actions (each built untimed first), `check_forgetful` on
+  the derived D12/k=20 package, and `check_splitting_iso` and
+  `check_forgetful` on the derived D22/k=40 package (each package derived
+  untimed first).  `median_s` is the median over the runs.
 
 The output holds the machine, Python and numpy, the command with the base
 resolved to its sha, and for each tree its git sha, `src_lines` and rows
@@ -55,7 +56,7 @@ def layer_child() -> None:
     from tracecat.cyclo import scalar_field
     from tracecat.modules import derive_module_fusion
     from tracecat.packages import ade_action
-    from tracecat.trace import check_forgetful
+    from tracecat.trace import check_forgetful, check_splitting_iso
 
     clearers = cache_clearers()
 
@@ -100,6 +101,9 @@ def layer_child() -> None:
         lambda field, data: check_forgetful(data),
         setup=lambda field: (derive_module_fusion(ade_action("d12", 20, unit="1")).data,),
     )
+    d22 = derive_module_fusion(ade_action("d22", 40, unit="1")).data
+    for check in (check_splitting_iso, check_forgetful):
+        rows[f"trace.{check.__name__}.d22_su2_40"] = timed(lambda field: check(d22))
     json.dump({"tracecat": tl.__file__, "rows": rows}, sys.stdout)
 
 
