@@ -21,7 +21,7 @@ from .modules import (
     ModuleTensorData,
     action_automorphisms,
 )
-from .trace import internal_end, trace_object, trace_of_word
+from .trace import internal_end, internal_ends, trace_object, trace_of_word
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ def enumerate_internal_ends(
     perms = action_automorphisms(act)
     m = act.rank
     seen: set[tuple[int, ...]] = set()
-    entries: list[CatalogEntry] = []
+    xs: list[ObjectVec] = []
     for total in range(1, max_total_mult + 1):
         for combo in itertools.combinations_with_replacement(range(m), total):
             mult = [0] * m
@@ -103,8 +103,8 @@ def enumerate_internal_ends(
             if orbit in seen:
                 continue
             seen.add(orbit)
-            x = act.object_vec(orbit)
-            entries.append(CatalogEntry(x, internal_end(act, x)))
+            xs.append(act.object_vec(orbit))
+    entries = [CatalogEntry(x, end) for x, end in zip(xs, internal_ends(act, xs))]
     entries.sort(key=lambda e: (e.x.total, e.x.mult))
     return Catalog(act.name, act, tuple(entries))
 

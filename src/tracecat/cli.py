@@ -176,7 +176,14 @@ def _load(args) -> ModuleAction | ModuleTensorData:
     raise CliError("select a category with --builtin <name> or --package <path>", 2)
 
 
+# The text format repeats each label by its multiplicity; past this many
+# summands only the machine format is printed.
+_TEXT_SUMMANDS = 2**20
+
+
 def _emit(vec: ObjectVec, labels, fmt: str) -> str:
+    if fmt != "tsv" and vec.total > _TEXT_SUMMANDS:
+        raise CliError(f"{vec.total} summands are too many to print as text; use --format tsv", 2)
     return decomposition(vec, labels, "machine" if fmt == "tsv" else "text")
 
 
@@ -187,19 +194,18 @@ def cmd_trace(args) -> int:
     data = _load(args)
     action = data.action
     mspace = f"{action.name}.module"
+    if args.word and args.object:
+        raise CliError("trace takes --object or --word, not both", 2)
     if args.word:
         if not isinstance(data, ModuleTensorData):
             raise CliError(f"{action.name} has no module fusion data for words", 2)
-        word = parse_word(args.word, action.msimples, mspace)
-        result = trace_of_word(data, word)
-        print(_emit(result, action.base.labels, args.format))
+        result = trace_of_word(data, parse_word(args.word, action.msimples, mspace))
+    elif args.object:
+        result = trace_object(data, parse_object(args.object, action.msimples, mspace))
+    else:
+        sys.stdout.write(trace_table(data, fmt=args.format))
         return 0
-    if args.object:
-        obj = parse_object(args.object, action.msimples, mspace)
-        result = trace_object(data, obj)
-        print(_emit(result, action.base.labels, args.format))
-        return 0
-    sys.stdout.write(trace_table(data, fmt=args.format))
+    print(_emit(result, action.base.labels, args.format))
     return 0
 
 
@@ -207,6 +213,8 @@ def cmd_end(args) -> int:
     data = _load(args)
     action = data.action
     mspace = f"{action.name}.module"
+    if args.identify and not args.object:
+        raise CliError("--identify needs --object", 2)
     if args.object:
         obj = parse_object(args.object, action.msimples, mspace)
         result = internal_end(action, obj)

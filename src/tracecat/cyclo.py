@@ -107,11 +107,6 @@ class CycloField:
         vec[0] = n
         return Cyc(self, tuple(vec), 1)
 
-    def from_fraction(self, fr: Fraction) -> "Cyc":
-        vec = [0] * self.degree
-        vec[0] = fr.numerator
-        return Cyc(self, tuple(vec), fr.denominator)
-
     def zeta(self, power: int = 1) -> "Cyc":
         """zeta_N raised to an integer power (any sign)."""
         power %= self.conductor

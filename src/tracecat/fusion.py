@@ -35,9 +35,12 @@ def _exact_dtype(*sums: tuple) -> type:
     one entry of each factor array.  Every partial sum of such a sum is at
     most length * prod(max|factor|) in magnitude (taken in Python ints), so
     float64 holds each one exactly while that bound is below 2**53; past
-    it, Python ints (dtype=object) do.
+    it, Python ints (dtype=object) do, as they do for any factor that is
+    already held in Python ints.
     """
     for length, *factors in sums:
+        if any(f.dtype == object for f in factors):
+            return object
         bound = length
         for f in factors:
             bound *= max(int(f.max()), -int(f.min())) if f.size else 0
@@ -76,7 +79,9 @@ class ObjectVec:
         return sum(self.mult)
 
     def as_array(self) -> np.ndarray:
-        return np.array(self.mult, dtype=np.int64)
+        """The multiplicities as int64, or as Python ints past 2**63 - 1."""
+        big = max(self.mult, default=0) >= 2**63
+        return np.array(self.mult, dtype=object if big else np.int64)
 
 
 @dataclass(frozen=True)
@@ -244,8 +249,17 @@ def fuse(ring: FusionRing, x: ObjectVec, y: ObjectVec) -> ObjectVec:
     for v in (x, y):
         if v.space != ring.name or len(v.mult) != ring.rank:
             raise FusionError(f"object over {v.space} does not match ring {ring.name}")
-    out = np.einsum("i,j,ijk->k", x.as_array(), y.as_array(), ring.N)
-    return ObjectVec(ring.name, tuple(int(v) for v in out))
+    return ObjectVec(ring.name, _exact_product(x, y, ring.N))
+
+
+def _exact_product(x: ObjectVec, y: ObjectVec, N: np.ndarray) -> tuple[int, ...]:
+    """sum_ij x_i y_j N[i, j, :] as two matrix products, in the dtype
+    `_exact_dtype` picks."""
+    a, b = x.as_array(), y.as_array()
+    r = len(a)
+    dtype = _exact_dtype((r * r, a, b, N))
+    left = (a.astype(dtype) @ N.astype(dtype).reshape(r, r * r)).reshape(r, r)
+    return tuple(int(v) for v in b.astype(dtype) @ left)
 
 
 def is_transitive(mats: np.ndarray) -> bool:

@@ -30,6 +30,7 @@ from .fusion import (
     ObjectVec,
     ValidationReport,
     _exact_dtype,
+    _exact_product,
     is_transitive,
     perron_vector,
     validate_ring,
@@ -283,8 +284,7 @@ class ModuleTensorData:
         space = f"{self.name}.module"
         if x.space != space or y.space != space:
             raise ModuleError(f"objects do not live over {space}")
-        out = np.einsum("i,j,ijk->k", x.as_array(), y.as_array(), self.mN)
-        return self.action.object_vec(out)
+        return ObjectVec(space, _exact_product(x, y, self.mN))
 
 
 def _dual_from_tensor(mN: np.ndarray, unit: int) -> tuple[int, ...]:

@@ -13,9 +13,13 @@ Every diagram built here is interned: one object per distinct boundary and
 pairing, so the public constructor's validation (planarity included) runs
 once per distinct pairing, not once per gluing.  Crossings and caps act on
 one term at a time as local reconnections of its top points (the e_i action
-of Kauffman-Lins), without gluing a full-width diagram.  The wraps behind
-curls and traciators cap each strand as soon as its last crossing is done,
-so every intermediate morphism has as few top points as possible.
+of Kauffman-Lins), without gluing a full-width diagram.  The wrap behind
+curls and traciators caps each strand as soon as its last crossing is done,
+so every intermediate morphism has as few top points as possible.  There is
+one wrap, to the right: reflecting left to right fixes id and every e_i, so
+it fixes each crossing a id + b e, and a left curl or a '-' traciator is the
+mirror image of a right wrap.  The diagram and glue tables are LRU caches
+of bounded size.
 
 A projected wrap (traciator, block braid or twist) is the unprojected wrap
 after the incoming projector only: the traciators, the braiding and the
@@ -66,18 +70,23 @@ class PlanarDiagram:
         return self._hash
 
     def rotate180(self) -> "PlanarDiagram":
-        """The diagram turned upside down (duality on morphisms)."""
-        nb, nt = self.n_bottom, self.n_top
-        n = nb + nt
+        """The diagram turned upside down (duality on morphisms): point p,
+        counted along the bottom and then the top, becomes point n-1-p."""
+        n = self.n_bottom + self.n_top
+        return self._relabel(self.n_top, self.n_bottom, lambda p: n - 1 - p)
 
-        def remap(p: int) -> int:
-            # old top j (left to right) -> new bottom nt-1-j, and vice versa
-            return (nt - 1 - (p - nb)) if p >= nb else (nt + nb - 1 - p)
+    def mirror(self) -> "PlanarDiagram":
+        """The diagram reflected left to right, each row reversed."""
+        nb, n = self.n_bottom, self.n_bottom + self.n_top
+        return self._relabel(nb, self.n_top, lambda p: nb - 1 - p if p < nb else n + nb - 1 - p)
 
-        new = [0] * n
+    def _relabel(self, nb: int, nt: int, remap) -> "PlanarDiagram":
+        """The diagram from nb to nt points whose point remap(p) is paired
+        with remap(pairing[p])."""
+        new = [0] * (nb + nt)
         for p, q in enumerate(self.pairing):
             new[remap(p)] = remap(q)
-        return _diagram(nt, nb, tuple(new))
+        return _diagram(nb, nt, tuple(new))
 
 
 def _is_noncrossing(nb: int, nt: int, pairing: tuple[int, ...]) -> bool:
@@ -96,35 +105,24 @@ def _is_noncrossing(nb: int, nt: int, pairing: tuple[int, ...]) -> bool:
     return True
 
 
-# Bound on each diagram table below; a table that reaches it is emptied.
-# `tracecat verify --all` (exact or --float) ends with 20,189 interned
-# diagrams and 26,115 glued pairs, so only wider --bound runs reach it.
+# Bound on each diagram table below; past it the least recently used
+# entries are evicted.  `tracecat verify --all` (exact or --float) ends with
+# 1,607 interned diagrams and 21,531 glued pairs, so only wider --bound runs
+# reach it.
 _TABLE_BOUND = 100_000
 
-_DIAGRAMS: dict[tuple[int, int, tuple[int, ...]], PlanarDiagram] = {}
 
-
+@lru_cache(maxsize=_TABLE_BOUND)
 def _diagram(nb: int, nt: int, pairing: tuple[int, ...]) -> PlanarDiagram:
     """The interned diagram with this boundary and pairing, validated by the
-    public constructor the first time it is seen."""
-    key = (nb, nt, pairing)
-    diag = _DIAGRAMS.get(key)
-    if diag is None:
-        if len(_DIAGRAMS) >= _TABLE_BOUND:
-            _DIAGRAMS.clear()
-        diag = _DIAGRAMS[key] = PlanarDiagram(nb, nt, pairing)
-    return diag
+    public constructor the first time it is seen.  Call it positionally: one
+    pairing, one cache key."""
+    return PlanarDiagram(nb, nt, pairing)
 
 
-_GLUE_CACHE: dict[tuple[PlanarDiagram, PlanarDiagram], tuple[int, PlanarDiagram]] = {}
-
-
+@lru_cache(maxsize=_TABLE_BOUND)
 def _glue(top: PlanarDiagram, bottom: PlanarDiagram) -> tuple[int, PlanarDiagram]:
     """Stack `top` onto `bottom`; return (closed loops, resulting diagram)."""
-    key = (top, bottom)
-    hit = _GLUE_CACHE.get(key)
-    if hit is not None:
-        return hit
     a, b, c = bottom.n_bottom, bottom.n_top, top.n_top
     # union point ids: bottom diagram 0..a+b-1, top diagram a+b..a+2b+c-1
     off = a + b
@@ -168,11 +166,7 @@ def _glue(top: PlanarDiagram, bottom: PlanarDiagram) -> tuple[int, PlanarDiagram
             u = partner[u]
             seen[u] = True
             u = glue_partner(u)
-    out = (loops, _diagram(a, c, tuple(result)))
-    if len(_GLUE_CACHE) >= _TABLE_BOUND:
-        _GLUE_CACHE.clear()
-    _GLUE_CACHE[key] = out
-    return out
+    return loops, _diagram(a, c, tuple(result))
 
 
 def _add_term(terms: dict, diag: PlanarDiagram, coef) -> None:
@@ -236,12 +230,15 @@ class TLMorphism:
     # -- diagram operations ---------------------------------------------------
 
     def rotate180(self) -> "TLMorphism":
-        return TLMorphism(
-            self.field,
-            self.n_top,
-            self.n_bottom,
-            {d.rotate180(): c for d, c in self.terms.items()},
-        )
+        return self._relabel(self.n_top, self.n_bottom, PlanarDiagram.rotate180)
+
+    def mirror(self) -> "TLMorphism":
+        """The reflection left to right: it keeps composites and reverses
+        the order of tensor factors."""
+        return self._relabel(self.n_bottom, self.n_top, PlanarDiagram.mirror)
+
+    def _relabel(self, nb: int, nt: int, reflect) -> "TLMorphism":
+        return TLMorphism(self.field, nb, nt, {reflect(d): c for d, c in self.terms.items()})
 
     def __repr__(self) -> str:
         return (
@@ -258,14 +255,13 @@ def compose(f: TLMorphism, g: TLMorphism) -> TLMorphism:
             f"cannot compose: f expects {f.n_bottom} inputs, g produces {g.n_top}"
         )
     field = f.field
-    delta_pow = _delta_powers(field)
     terms: dict[PlanarDiagram, object] = {}
     for dg, cg in g.terms.items():
         for df, cf in f.terms.items():
             loops, diag = _glue(df, dg)
             coef = cf * cg
             if loops:
-                coef = coef * delta_pow(loops)
+                coef = coef * _delta_power(field, loops)
             _add_term(terms, diag, coef)
     return TLMorphism(field, g.n_bottom, f.n_top, terms)
 
@@ -299,21 +295,13 @@ def _tensor_diagrams(df: PlanarDiagram, dg: PlanarDiagram) -> PlanarDiagram:
     return _diagram(nb, nt, tuple(pairing))
 
 
-# keyed by the field itself: the id of a field freed from its cache is reused
-_DELTA_POWERS: dict[object, list] = {}
-
-
-def _delta_powers(field):
-    powers = _DELTA_POWERS.get(field)
-    if powers is None:
-        powers = _DELTA_POWERS[field] = [field.one, field.loop_value()]
-
-    def get(n: int):
-        while len(powers) <= n:
-            powers.append(powers[-1] * powers[1])
-        return powers[n]
-
-    return get
+@lru_cache(maxsize=None)
+def _delta_power(field, n: int):
+    """delta**n, keyed by the field itself (the cache holds it, so its id is
+    not reused); delta is evaluated once per field."""
+    if n < 2:
+        return field.loop_value() if n else field.one
+    return _delta_power(field, n - 1) * _delta_power(field, 1)
 
 
 # -- basic diagrams ----------------------------------------------------------
@@ -461,7 +449,7 @@ def _cross(m: TLMorphism, t: int, a, b) -> TLMorphism:
     """The crossing a id + b e at top positions (t, t+1) on top of m.  On each
     term e joins the partners of t and t+1 and pairs t with t+1 (a loop if paired)."""
     field, nb, nt = m.field, m.n_bottom, m.n_top
-    delta = _delta_powers(field)(1)
+    delta = _delta_power(field, 1)
     t += nb
     crossed: dict[PlanarDiagram, object] = {}
     for d, c in m.terms.items():
@@ -501,7 +489,6 @@ def _cap_off(m: TLMorphism, start: int, width: int) -> TLMorphism:
     cap, innermost first, joins the partners of its two points (or closes a
     loop); the capped points are dropped at the end."""
     field = m.field
-    delta_pow = _delta_powers(field)
     nb, nt = m.n_bottom, m.n_top - 2 * width
     lo, hi = nb + start, nb + start + 2 * width
     terms: dict[PlanarDiagram, object] = {}
@@ -515,16 +502,18 @@ def _cap_off(m: TLMorphism, start: int, width: int) -> TLMorphism:
             else:
                 pairing[u], pairing[v] = v, u
         kept = tuple(x if x < lo else x - 2 * width for x in pairing[:lo] + pairing[hi:])
-        coef = c * delta_pow(loops) if loops else c
+        coef = c * _delta_power(field, loops) if loops else c
         _add_term(terms, _diagram(nb, nt, kept), coef)
     return TLMorphism(field, nb, nt, terms)
 
 
+@lru_cache(maxsize=None)
 def _wrap_right(field, p: int, q: int, over: bool) -> TLMorphism:
     """id_p (x) cup_q with the p strands braided past the cup's left ends and
     capped against its right ends.  The strands move right one at a time,
     rightmost first; strand `moved` lands at top position p+q-1-moved, next
-    to the innermost open cup end, and is capped there at once while moved < q."""
+    to the innermost open cup end, and is capped there at once while moved < q.
+    Its mirror image is the left wrap, cup_q (x) id_p wrapped the other way."""
     m = tensor(identity(field, p), cup(field, q))
     for moved in range(p):
         m = _apply_block_crossings(m, p - 1 - moved, 1, q, over)
@@ -533,36 +522,17 @@ def _wrap_right(field, p: int, q: int, over: bool) -> TLMorphism:
     return m
 
 
-def _wrap_left(field, p: int, q: int, over: bool) -> TLMorphism:
-    """cup_p (x) id_q with the cup's right ends braided past the q strands and
-    capped against its left ends.  The strands move left one at a time, leftmost
-    first (the same positive braid); strand c lands at top position `end`, next
-    to the innermost open cup end, and is capped there at once while c < p."""
-    m = tensor(cup(field, p), identity(field, q))
-    for c in range(q):
-        end = p + c - 2 * min(c, p)  # p + c, less two points per earlier cap
-        m = _apply_block_crossings(m, end, p, 1, over)
-        if c < p:
-            m = _cap_off(m, end - 1, 1)
-    return m
-
-
-@lru_cache(maxsize=None)
-def _curl_middle(field, n: int, positive: bool, side: str) -> TLMorphism:
-    """Unprojected curl on n strands: wrap the group around itself and close."""
-    return (_wrap_right if side == "right" else _wrap_left)(field, n, n, positive)
-
-
 def twist_morphism(x: TLObject, positive: bool = True, side: str = "right") -> TLMorphism:
     """The curl through the object: braid a strand group around itself and
-    close, after x's projector (which the curl carries to its top)."""
-    field = x.proj.field
+    close, after x's projector (which the curl carries to its top).  The
+    left curl is the mirror image of the right one."""
     n = x.strands
     if n == 0:
         return x.proj
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    return compose(_curl_middle(field, n, positive, side), x.proj)
+    curl = _wrap_right(x.proj.field, n, n, positive)
+    return compose(curl if side == "right" else curl.mirror(), x.proj)
 
 
 def twist(x: TLObject, variant: int = 1):
@@ -618,24 +588,19 @@ def traciator_self_action(x: TLObject, y: TLObject, sign: str = "+") -> TLMorphi
     With the category acting on itself the counit of the adjunction is the
     identity and the half-braiding is the braiding, so the wrapping strand
     is realised by a block braiding closed off with a cup/cap pair:
-    the '+' version sends y around (over), the '-' version sends x around
-    the other way (under).  It is applied after the projector of x (x) y
-    only: the wrap carries it to the projector of y (x) x on top.
+    the '+' version sends y around (over) to the right, the '-' version
+    sends x around the other way (under), as the mirror image of a right
+    wrap.  It is applied after the projector of x (x) y only: the wrap
+    carries it to the projector of y (x) x on top.
     """
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
-    field = x.proj.field
-    middle = _traciator_middle(field, x.strands, y.strands, sign)
-    return compose(middle, tensor(x.proj, y.proj))
-
-
-@lru_cache(maxsize=None)
-def _traciator_middle(field, p: int, q: int, sign: str) -> TLMorphism:
-    """Unprojected traciator x (x) y -> y (x) x on p + q strands: '+' wraps
-    y's q strands over to the right, '-' wraps x's p strands under to the left."""
+    field, p, q = x.proj.field, x.strands, y.strands
     if sign == "+":
-        return _wrap_right(field, p + q, q, True)
-    return _wrap_left(field, p, p + q, False)
+        middle = _wrap_right(field, p + q, q, True)
+    else:
+        middle = _wrap_right(field, p + q, p, False).mirror()
+    return compose(middle, tensor(x.proj, y.proj))
 
 
 # -- the identity suite --------------------------------------------------------

@@ -55,8 +55,9 @@ def trace_object(
     action = data.action
     if x.space != f"{action.name}.module" or len(x.mult) != action.rank:
         raise FusionError(f"object over {x.space} does not match module {action.name}")
-    T = trace_matrix(data).T
-    return ObjectVec(action.base.name, tuple(int(v) for v in T @ x.as_array()))
+    T, v = trace_matrix(data).T, x.as_array()
+    dtype = _exact_dtype((len(v), T, v))
+    return ObjectVec(action.base.name, tuple(int(c) for c in T.astype(dtype) @ v.astype(dtype)))
 
 
 def trace_of_word(data: ModuleTensorData, word) -> ObjectVec:
@@ -75,14 +76,23 @@ def trace_of_word(data: ModuleTensorData, word) -> ObjectVec:
 
 def internal_end(action: ModuleAction | ModuleTensorData, x: ObjectVec) -> ObjectVec:
     """The base object representing endomorphisms of the module object x."""
+    return internal_ends(action, [x])[0]
+
+
+def internal_ends(action: ModuleAction | ModuleTensorData, xs) -> list[ObjectVec]:
+    """`internal_end` of each object of xs: sum_jl v_j mats[i, j, l] v_l for
+    all of them at once, in the dtype `fusion._exact_dtype` picks."""
     action = action.action
-    if x.space != f"{action.name}.module" or len(x.mult) != action.rank:
-        raise FusionError(f"object over {x.space} does not match module {action.name}")
-    if x.is_zero():
-        raise ModuleError("internal End of the zero object is undefined")
-    v = x.as_array()
-    out = np.einsum("j,ijl,l->i", v, action.mats, v)
-    return ObjectVec(action.base.name, tuple(int(c) for c in out))
+    for x in xs:
+        if x.space != f"{action.name}.module" or len(x.mult) != action.rank:
+            raise FusionError(f"object over {x.space} does not match module {action.name}")
+        if x.is_zero():
+            raise ModuleError("internal End of the zero object is undefined")
+    V = np.stack([x.as_array() for x in xs])  # one row per object; dtype=object if any row is
+    dtype = _exact_dtype((action.rank**2, V, action.mats, V))
+    V = V.astype(dtype)
+    out = ((V @ action.mats.astype(dtype)) * V).sum(axis=2)  # [i, object]
+    return [ObjectVec(action.base.name, tuple(int(c) for c in col)) for col in out.T]
 
 
 # -- verification ---------------------------------------------------------------

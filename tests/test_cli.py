@@ -351,3 +351,51 @@ def test_largest_64_bit_multiplicity_is_accepted(capsys):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == f"1^{2**63 - 1}\n"
+
+
+M = 2**63 - 1
+
+
+@pytest.mark.parametrize(
+    "argv, answer",
+    [
+        # End(n 1) = n^2 (1 + 5): int64 products used to wrap to 1 + 5
+        (("end", "--builtin", "d4_su2_4", "--object", f"{M}*1"), f"1^{M * M} + 5^{M * M}"),
+        (
+            ("trace", "--builtin", "e6_su2_10", "--object", f"{M}*1+{M}*3"),
+            f"1^{M} + 3^{M} + 5^{M} + 7^{2 * M} + 9^{M}",
+        ),
+        (("fuse", "--k", "4", "--word", f"({M}*2)*(2*2)"), f"1^{2 * M} + 3^{2 * M}"),
+        (("fuse", "--builtin", "d4_su2_4", "--word", f"({M}*3)*(2*3)"), f"3'^{2 * M}"),
+        (("trace", "--builtin", "d4_su2_4", "--word", f"({M}*3)*(2*3)"), f"3^{2 * M}"),
+    ],
+)
+def test_products_past_64_bits_are_exact(capsys, argv, answer):
+    assert run(capsys, *argv, "--format", "tsv") == (0, answer + "\n", "")
+    # the text format would repeat each label more than 2**20 times
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith(" use --format tsv\n")
+    assert len(err.splitlines()) == 1
+
+
+def test_text_output_is_refused_past_2_to_the_20_summands(capsys):
+    argv = ("trace", "--builtin", "a5_su2_4", "--object")
+    code, out, _ = run(capsys, *argv, f"{2**20}*1")
+    assert code == 0 and out == " ⊕ ".join(["1"] * 2**20) + "\n"
+    message = f"error: {2**20 + 1} summands are too many to print as text; use --format tsv\n"
+    assert run(capsys, *argv, f"{2**20 + 1}*1") == (2, "", message)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("trace", "--builtin", "d4_su2_4", "--object", "1", "--word", "3"),
+            "trace takes --object or --word, not both",
+        ),
+        (("end", "--builtin", "d4_su2_4", "--identify", "d4_su2_4"), "--identify needs --object"),
+    ],
+)
+def test_options_that_would_be_ignored_are_usage_errors(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")

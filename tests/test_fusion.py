@@ -304,3 +304,17 @@ def test_validate_ring_memory_is_cubic_in_the_rank():
     finally:
         tracemalloc.stop()
     assert peak < 40 * 2**20  # the two r**4 arrays alone took 221 MB
+
+
+def test_fuse_is_exact_past_64_bits():
+    ring = verlinde_su2(4)
+    n = 2**64 + 3
+    x = ObjectVec(ring.name, (0, n, 0, 0, 0))
+    assert x.as_array().dtype == object
+    assert ObjectVec(ring.name, (0, 2**63 - 1, 0, 0, 0)).as_array().dtype == np.int64
+    # 2 (x) 2 = 1 + 3, so n*2 (x) n*2 = n^2 (1 + 3), far past int64 and float64
+    assert fuse(ring, x, x).mult == (n * n, 0, n * n, 0, 0)
+    # a zero factor next to Python ints stays in Python ints
+    zero = ObjectVec(ring.name, (0,) * 5)
+    huge = ObjectVec(ring.name, (10**400, 0, 0, 0, 0))
+    assert fuse(ring, zero, huge).is_zero() and fuse(ring, huge, zero).is_zero()

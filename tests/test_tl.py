@@ -1,4 +1,6 @@
+import random
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 
@@ -218,8 +220,8 @@ def test_delta_powers_follow_a_rebuilt_field(exact):
     for k in (2, 4, 10) * 10:
         cache.cache_clear()
         f = scalar_field(k, exact=exact)
-        assert tl._delta_powers(f)(1) == f.loop_value()
-        assert tl._delta_powers(f)(3) == f.loop_value() ** 3
+        assert tl._delta_power(f, 1) == f.loop_value()
+        assert tl._delta_power(f, 3) == f.loop_value() ** 3
         del f
     cache.cache_clear()
 
@@ -232,10 +234,12 @@ def test_delta_powers_evaluate_delta_once_per_field(monkeypatch):
         calls.append(field)
         return loop_value(field)
 
-    monkeypatch.setattr(tl, "_DELTA_POWERS", {})
+    tl._delta_power.cache_clear()
     monkeypatch.setattr(type(F), "loop_value", counting)
-    assert tl._delta_powers(F)(2) == tl._delta_powers(F)(1) * DELTA
+    assert tl._delta_power(F, 2) == tl._delta_power(F, 1) * DELTA
+    assert tl._delta_power(F, 5) == DELTA**5
     assert calls == [F]
+    tl._delta_power.cache_clear()
 
 
 def test_identity_suite_small_level():
@@ -426,8 +430,78 @@ def test_crossings_and_curls_glue_nothing(monkeypatch):
 
     monkeypatch.setattr(tl, "_glue", no_glue)
     assert braid_blocks.__wrapped__(F, 3, 3).terms
-    curl = tl._curl_middle.__wrapped__(F, 3, True, "right")
-    assert (curl.n_bottom, curl.n_top) == (3, 3) and curl.terms
+    for side in ("right", "left"):
+        curl = _curl_middle(F, 3, True, side)
+        assert (curl.n_bottom, curl.n_top) == (3, 3) and curl.terms
+
+
+def _curl_middle(field, n, positive, side, wrap=tl._wrap_right.__wrapped__):
+    """The unprojected curl of twist_morphism: the right wrap of n strands
+    around themselves, or its mirror image (built afresh by default)."""
+    curl = wrap(field, n, n, positive)
+    return curl if side == "right" else curl.mirror()
+
+
+def _traciator_middle(field, p, q, sign, wrap=tl._wrap_right.__wrapped__):
+    """The unprojected traciator of traciator_self_action on p + q strands:
+    '+' wraps the right q strands over to the right, '-' is the mirror image
+    of the right wrap of p strands under, the left p strands wrapping left."""
+    if sign == "+":
+        return wrap(field, p + q, q, True)
+    return wrap(field, p + q, p, False).mirror()
+
+
+# -- mirror images: a reflection that fixes every crossing -----------------------
+
+
+def _random_word(field, n, rng, length=4):
+    """A random combination of products of TL generators and crossings on n
+    strands, capped and cupped on random sides, so its two boundaries vary."""
+    out = identity(field, n).scaled(field.q_half(rng.randrange(8)))
+    for _ in range(length):
+        gens = [identity(field, n)] + [e_generator(field, n, i) for i in range(n - 1)]
+        gens += [embed(braiding(field, rng.random() < 0.5), i, n - 2 - i) for i in range(n - 1)]
+        step = rng.choice(gens).scaled(field.q_half(rng.randrange(-4, 5)))
+        out = compose(step + rng.choice(gens), out)
+    if n >= 2 and rng.random() < 0.5:
+        i = rng.randrange(n - 1)
+        out = compose(embed(cap(field), i, n - 2 - i), out)
+    if rng.random() < 0.5:
+        i = rng.randrange(out.n_top + 1)
+        out = compose(embed(cup(field), i, out.n_top - i), out)
+    return out
+
+
+def test_mirror_reverses_strands_and_fixes_every_crossing():
+    for n in range(2, 6):
+        for i in range(n - 1):
+            assert e_generator(F, n, i).mirror() == e_generator(F, n, n - 2 - i)
+    for over in (True, False):
+        assert braiding(F, over).mirror() == braiding(F, over)
+    m = tensor(identity(F, 1), cup(F))
+    assert m.mirror() == tensor(cup(F), identity(F, 1))
+    assert cap(F, 2).mirror() == cap(F, 2) and identity(F, 3).mirror() == identity(F, 3)
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_mirror_is_an_involution_and_commutes_with_compose(k):
+    field, rng = scalar_field(k), random.Random(k)
+    for _ in range(30):
+        n = rng.randrange(1, 5)
+        g = _random_word(field, n, rng)
+        f = _random_word(field, g.n_top, rng)
+        assert g.mirror().mirror().terms == g.terms
+        assert (g.mirror().n_bottom, g.mirror().n_top) == (g.n_bottom, g.n_top)
+        assert compose(f, g).mirror() == compose(f.mirror(), g.mirror())
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_mirror_reverses_the_order_of_tensor(k):
+    field, rng = scalar_field(k), random.Random(100 + k)
+    for _ in range(30):
+        f = _random_word(field, rng.randrange(1, 4), rng)
+        g = _random_word(field, rng.randrange(1, 4), rng)
+        assert tensor(f, g).mirror() == tensor(g.mirror(), f.mirror())
 
 
 # -- the wraps: each strand capped as soon as its crossings end -----------------
@@ -491,8 +565,7 @@ def test_early_capped_curls_equal_full_width_ones(k):
             for side in ("right", "left"):
                 want = _full_width_curl(fields[0], n, positive, side)
                 for field in fields:
-                    got = tl._curl_middle.__wrapped__(field, n, positive, side)
-                    _same_terms(got, want)
+                    _same_terms(_curl_middle(field, n, positive, side), want)
 
 
 @pytest.mark.parametrize("k", [2, 4, 10])
@@ -503,8 +576,7 @@ def test_direct_traciators_equal_composed_ones(k):
             for sign in "+-":
                 want = _composed_traciator(fields[0], p, q, sign, memo)
                 for field in fields:
-                    got = tl._traciator_middle.__wrapped__(field, p, q, sign)
-                    _same_terms(got, want)
+                    _same_terms(_traciator_middle(field, p, q, sign), want)
 
 
 def test_traciators_compose_and_glue_nothing(monkeypatch):
@@ -516,7 +588,7 @@ def test_traciators_compose_and_glue_nothing(monkeypatch):
     for p in range(7):
         for q in range(7 - p):
             for sign in "+-":
-                mid = tl._traciator_middle.__wrapped__(F, p, q, sign)
+                mid = _traciator_middle(F, p, q, sign)
                 assert (mid.n_bottom, mid.n_top) == (p + q, p + q)
 
 
@@ -524,8 +596,6 @@ def _clear_tl_caches():
     for obj in vars(tl).values():
         if hasattr(obj, "cache_clear"):
             obj.cache_clear()
-    tl._DIAGRAMS.clear()
-    tl._GLUE_CACHE.clear()
 
 
 def test_identity_suite_validates_each_pairing_once(monkeypatch):
@@ -540,24 +610,36 @@ def test_identity_suite_validates_each_pairing_once(monkeypatch):
     monkeypatch.setattr(PlanarDiagram, "__post_init__", counting)
     assert identity_suite(2).ok
     assert validated and max(validated.values()) == 1
-    assert len(validated) == len(tl._DIAGRAMS)
+    assert len(validated) == tl._diagram.cache_info().currsize
 
 
 def test_diagram_tables_stay_within_their_bound(monkeypatch):
+    for table in (tl._diagram, tl._glue):
+        assert table.cache_info().maxsize == tl._TABLE_BOUND
+    # the same tables at a bound of 10 evict entries and still compute the same
     _clear_tl_caches()
-    monkeypatch.setattr(tl, "_TABLE_BOUND", 10)
+    for name in ("_diagram", "_glue"):
+        monkeypatch.setattr(tl, name, lru_cache(maxsize=10)(getattr(tl, name).__wrapped__))
     for n in (2, 3, 4):
         assert jw_by_annihilation(n, F) == jones_wenzl(n, F).proj
-        assert len(tl._DIAGRAMS) <= 10 and len(tl._GLUE_CACHE) <= 10
+        for table in (tl._diagram, tl._glue):
+            assert table.cache_info().currsize <= 10
+    # more entries than the bound went through each table
+    assert tl._diagram.cache_info().misses > 10 and tl._glue.cache_info().misses > 10
+    monkeypatch.undo()
     _clear_tl_caches()
+    assert identity_suite(2).ok
+    for table in (tl._diagram, tl._glue):
+        assert 0 < table.cache_info().currsize <= tl._TABLE_BOUND
 
 
 def test_tensor_interns_after_the_diagram_table_is_emptied():
     f, g = identity(F, 1), cup(F)
     tensor(f, g)
-    tl._DIAGRAMS.clear()
+    tl._diagram.cache_clear()
     (d,) = tensor(f, g).terms
-    assert d is tl._DIAGRAMS.get((d.n_bottom, d.n_top, d.pairing))
+    assert tl._diagram.cache_info().currsize > 0
+    assert d is tl._diagram(d.n_bottom, d.n_top, d.pairing)
 
 
 # -- projected wraps: one projector, carried through by naturality --------------
@@ -606,7 +688,7 @@ def test_wraps_projected_once_equal_two_sided_ones(k, width):
         xy, yx = _product(exact, (a, b)), _product(exact, (b, a))
         p, q = a - 1, b - 1
         for sign in "+-":
-            want = _two_sided(xy, tl._traciator_middle(exact, p, q, sign), yx)
+            want = _two_sided(xy, _traciator_middle(exact, p, q, sign, tl._wrap_right), yx)
             for field in fields:
                 x, y = simple_object(a, field), simple_object(b, field)
                 _same_terms(traciator_self_action(x, y, sign), want)
@@ -620,6 +702,7 @@ def test_wraps_projected_once_equal_two_sided_ones(k, width):
         x = _product(exact, parts)
         for positive in (True, False):
             for side in ("right", "left"):
-                want = _two_sided(x, tl._curl_middle(exact, x.strands, positive, side), x)
+                middle = _curl_middle(exact, x.strands, positive, side, tl._wrap_right)
+                want = _two_sided(x, middle, x)
                 for field in fields:
                     _same_terms(twist_morphism(_product(field, parts), positive, side), want)

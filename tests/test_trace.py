@@ -27,6 +27,7 @@ from tracecat.trace import (
     check_traciator_iso,
     decomposition,
     internal_end,
+    internal_ends,
     trace_matrix,
     trace_object,
     trace_of_word,
@@ -516,3 +517,33 @@ def test_check_forgetful_memory_stays_below_one_kronecker_operator():
         tracemalloc.stop()
     # one (m r)**2 int64 Kronecker operator of the relations alone is 6.5 MB
     assert peak < 4 * 2**20
+
+
+def test_traces_and_ends_are_exact_past_64_bits():
+    data = load_builtin("d4_su2_4")
+    n = 2**63 - 1
+    one = data.action.basis("1")
+    x = ObjectVec(one.space, tuple(n * m for m in one.mult))
+    # End(n 1) = n^2 End(1) = n^2 (1 + 5); Tr(n 1) = n Tr(1) = n (1 + 5)
+    assert internal_end(data, x).mult == (n * n, 0, 0, 0, n * n)
+    assert trace_object(data, x).mult == (n, 0, 0, 0, n)
+    twice = data.mfuse(x, x)  # 1 is the module unit
+    assert twice.mult == (n * n, 0, 0, 0) and trace_object(data, twice).mult[0] == n * n
+
+
+def test_internal_ends_of_many_objects_equal_each_one():
+    data = load_builtin("e6_su2_10")
+    m = data.action.rank
+    xs = [data.action.basis(j) for j in range(m)]
+    xs.append(ObjectVec(xs[0].space, tuple(range(1, m + 1))))
+    xs.append(ObjectVec(xs[0].space, (2**70,) + (1,) * (m - 1)))  # past int64: Python ints
+    ends = internal_ends(data, xs)
+    for x, end in zip(xs, ends):
+        # End(x) = sum_jl v_j v_l M(c_i)[j][l], term by term in Python ints
+        mats = data.action.mats
+        want = [
+            sum(x.mult[j] * x.mult[l] * int(mats[i, j, l]) for j in range(m) for l in range(m))
+            for i in range(mats.shape[0])
+        ]
+        assert end.mult == tuple(want)
+        assert internal_end(data, x) == end

@@ -13,10 +13,11 @@ and measured the same way as the working tree this script sits in.
   and whether it was correct.
 * Layer rows: timed in a fresh interpreter per tree and run, with
   tracecat's caches emptied before each row, as `perfbench` empties them
-  before each job: `_curl_middle(field, n, True, "right")` for n <= 5,
-  one `_traciator_middle`, and on the simples x, y of labels 3 and 4
-  `traciator_self_action(x, y, "+")` and `twist_morphism(x (x) y)` (their
-  unprojected wraps built untimed first, so these rows time the
+  before each job: the unprojected curl `_wrap_right(field, n, n, True)`
+  for n <= 5, one unprojected traciator `_wrap_right(field, p + q, q, True)`,
+  and on the simples x, y of labels 3 and 4 `traciator_self_action(x, y,
+  "+")` and `twist_morphism(x (x) y)` (their unprojected wraps built
+  untimed first, through the tree's own cache, so these rows time the
   projection), all at k = 4; `identity_suite(k)` for k in
   {2, 4, 10, 16}; all exact.  Then `derive_module_fusion` of the D12/k=20
   and D22/k=40 actions (each built untimed first), `check_forgetful` on
@@ -43,7 +44,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TRACIATOR = (2, 3, "+")  # p, q, sign at k = 4: the widest pair of the k = 4 suite
+TRACIATOR = (2, 3)  # p, q of a '+' traciator at k = 4: the widest pair of the k = 4 suite
 PAIR = (3, 4)  # the labels of that pair's simples
 
 
@@ -73,15 +74,20 @@ def layer_child() -> None:
         """The simples of PAIR and their product, with the unprojected wraps
         of the projected rows below already built."""
         x, y = (tl.simple_object(a, field) for a in PAIR)
-        tl._traciator_middle(field, x.strands, y.strands, "+")
-        tl._curl_middle(field, x.strands + y.strands, True, "right")
+        p, q = x.strands, y.strands
+        if hasattr(tl._wrap_right, "cache_info"):
+            tl._wrap_right(field, p + q, q, True)
+            tl._wrap_right(field, p + q, p + q, True)
+        else:  # trees that cache each wrap under its use instead
+            tl._traciator_middle(field, p, q, "+")
+            tl._curl_middle(field, p + q, True, "right")
         return x, y, x.tensor(y)
 
     rows = {}
     for n in range(1, 6):
-        rows[f"tl._curl_middle.n{n}"] = timed(tl._curl_middle, n, True, "right")
-    p, q, sign = TRACIATOR
-    rows[f"tl._traciator_middle.p{p}q{q}{sign}"] = timed(tl._traciator_middle, p, q, sign)
+        rows[f"tl._wrap_right.p{n}q{n}"] = timed(tl._wrap_right, n, n, True)
+    p, q = TRACIATOR
+    rows[f"tl._wrap_right.p{p + q}q{q}"] = timed(tl._wrap_right, p + q, q, True)
     a, b = PAIR
     rows[f"tl.traciator_self_action.x{a}y{b}+"] = timed(
         lambda field, x, y, xy: tl.traciator_self_action(x, y, "+"), setup=pair
