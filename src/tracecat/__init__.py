@@ -34,8 +34,8 @@ from .fusion import (
     FusionRing,
     ObjectVec,
     ValidationReport,
-    fp_dimensions,
     fuse,
+    su2_dimensions,
     validate_ring,
     verlinde_su2,
 )

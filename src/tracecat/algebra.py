@@ -86,8 +86,9 @@ def enumerate_internal_ends(
     act = action.action
     if max_total_mult < 1:
         raise ModuleError("the multiplicity bound must be at least 1")
-    perms = action_automorphisms(act)
     m = act.rank
+    # inverse[i] = p.index(i): the image of mult under p is mult read through it
+    inverses = [sorted(range(m), key=p.__getitem__) for p in action_automorphisms(act)]
     seen: set[tuple[int, ...]] = set()
     xs: list[ObjectVec] = []
     for total in range(1, max_total_mult + 1):
@@ -97,9 +98,7 @@ def enumerate_internal_ends(
                 mult[j] += 1
             # orbit representative: lexicographically greatest image, so path
             # vertices are preferred over primed fork labels
-            orbit = max(
-                tuple(mult[p.index(i)] for i in range(m)) for p in perms
-            )
+            orbit = max(tuple(mult[j] for j in inverse) for inverse in inverses)
             if orbit in seen:
                 continue
             seen.add(orbit)

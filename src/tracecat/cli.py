@@ -32,8 +32,8 @@ from .fusion import (
     FusionError,
     FusionRing,
     ObjectVec,
-    fp_dimensions,
     fuse,
+    su2_dimensions,
     validate_ring,
     verlinde_su2,
 )
@@ -263,9 +263,8 @@ def cmd_fuse(args) -> int:
 
 def cmd_dims(args) -> int:
     if args.k is not None:
-        ring = verlinde_su2(args.k)
-        dims = fp_dimensions(ring)
-        labels = ring.labels
+        dims = su2_dimensions(args.k)
+        labels = [str(a) for a in range(1, len(dims) + 1)]
     else:
         data = _load(args)
         action = data.action

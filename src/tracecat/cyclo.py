@@ -65,7 +65,40 @@ def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
-class CycloField:
+class _LevelField:
+    """The level-k constants, in terms of a subclass's `zeta`, `zero` and
+    conductor N = 4(k+2)."""
+
+    @classmethod
+    @lru_cache(maxsize=None)
+    def for_level(cls, k: int):
+        """Field containing q^(1/2) and i for the level-k theory."""
+        return cls(4 * (k + 2))
+
+    def q(self, power: int = 1):
+        return self.zeta(2 * power)
+
+    def q_half(self, power: int = 1):
+        return self.zeta(power)
+
+    def imag_unit(self):
+        if self.conductor % 4 != 0:
+            raise ValueError("i is not in this field")
+        return self.zeta(self.conductor // 4)
+
+    def quantum_integer(self, n: int):
+        """[n]_q = (q^n - q^-n)/(q - q^-1) = q^(n-1) + q^(n-3) + ... + q^(1-n)."""
+        acc = self.zero
+        for j in range(n):
+            acc = acc + self.q(n - 1 - 2 * j)
+        return acc
+
+    def loop_value(self):
+        """delta = [2]_q = q + q^(-1)."""
+        return self.quantum_integer(2)
+
+
+class CycloField(_LevelField):
     """The field Q(zeta_N), zeta_N = exp(2*pi*i/N), with exact arithmetic."""
 
     def __init__(self, conductor: int):
@@ -75,32 +108,10 @@ class CycloField:
         minpoly = cyclotomic_polynomial(conductor)
         self.degree = len(minpoly) - 1
         self._minpoly = minpoly
-        # x^(degree+t) reduced mod the (monic) minimal polynomial, as integer rows
-        self._reduction = self._reduction_rows()
+        # the nonzero terms of the monic minimal polynomial below its top one
+        self._lower = [(i, c) for i, c in enumerate(minpoly[:-1]) if c]
         self.zero = Cyc(self, (0,) * self.degree, 1)
         self.one = self.from_int(1)
-
-    @classmethod
-    @lru_cache(maxsize=None)
-    def for_level(cls, k: int) -> "CycloField":
-        """Field containing q^(1/2) and i for the level-k theory."""
-        return cls(4 * (k + 2))
-
-    def _reduction_rows(self) -> list[tuple[int, ...]]:
-        d = self.degree
-        count = max(d - 1, self.conductor - d)
-        rows: list[tuple[int, ...]] = []
-        # invariant: current holds x^(d+t) as a degree-<d integer vector
-        current = [-c for c in self._minpoly[:d]]
-        for _ in range(count):
-            rows.append(tuple(current))
-            lead = current[d - 1]
-            current = [0] + current[: d - 1]
-            if lead:
-                current = [c + lead * r for c, r in zip(current, rows[0])]
-        return rows
-
-    # -- constructors ------------------------------------------------------
 
     def from_int(self, n: int) -> "Cyc":
         vec = [0] * self.degree
@@ -115,40 +126,16 @@ class CycloField:
         return Cyc(self, self._reduce(vec), 1)
 
     def _reduce(self, vec: list[int]) -> tuple[int, ...]:
+        """The remainder of vec (low degree first, any length) modulo the
+        minimal polynomial, by division from the top term down."""
         d = self.degree
-        if len(vec) <= d:
-            return tuple(vec) + (0,) * (d - len(vec))
-        out = list(vec[:d])
-        for t, coef in enumerate(vec[d:]):
+        out = list(vec) + [0] * (d - len(vec))
+        for t in range(len(out) - 1, d - 1, -1):
+            coef = out[t]
             if coef:
-                row = self._reduction[t]
-                for i in range(d):
-                    out[i] += coef * row[i]
-        return tuple(out)
-
-    # -- level-k helpers ----------------------------------------------------
-
-    def q(self, power: int = 1) -> "Cyc":
-        return self.zeta(2 * power)
-
-    def q_half(self, power: int = 1) -> "Cyc":
-        return self.zeta(power)
-
-    def imag_unit(self) -> "Cyc":
-        if self.conductor % 4 != 0:
-            raise ValueError("i is not in this field")
-        return self.zeta(self.conductor // 4)
-
-    def quantum_integer(self, n: int) -> "Cyc":
-        """[n]_q = (q^n - q^-n)/(q - q^-1) = q^(n-1) + q^(n-3) + ... + q^(1-n)."""
-        acc = self.zero
-        for j in range(n):
-            acc = acc + self.q(n - 1 - 2 * j)
-        return acc
-
-    def loop_value(self) -> "Cyc":
-        """delta = [2]_q = q + q^(-1)."""
-        return self.quantum_integer(2)
+                for i, c in self._lower:
+                    out[t - d + i] -= coef * c
+        return tuple(out[:d])
 
 
 class Cyc:
@@ -300,7 +287,7 @@ def _polysub_frac(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return [x - y for x, y in zip(a, b)]
 
 
-class FloatField:
+class FloatField(_LevelField):
     """Complex-double stand-in for CycloField (fast path, tolerance 1e-9)."""
 
     TOL = 1e-9
@@ -311,34 +298,11 @@ class FloatField:
         self.zero = FloatScalar(0j)
         self.one = FloatScalar(1 + 0j)
 
-    @classmethod
-    @lru_cache(maxsize=None)
-    def for_level(cls, k: int) -> "FloatField":
-        return cls(4 * (k + 2))
-
     def from_int(self, n: int) -> "FloatScalar":
         return FloatScalar(complex(n))
 
     def zeta(self, power: int = 1) -> "FloatScalar":
         return FloatScalar(self._zeta**power)
-
-    def q(self, power: int = 1) -> "FloatScalar":
-        return self.zeta(2 * power)
-
-    def q_half(self, power: int = 1) -> "FloatScalar":
-        return self.zeta(power)
-
-    def imag_unit(self) -> "FloatScalar":
-        return self.zeta(self.conductor // 4)
-
-    def quantum_integer(self, n: int) -> "FloatScalar":
-        acc = 0j
-        for j in range(n):
-            acc += self._zeta ** (2 * (n - 1 - 2 * j))
-        return FloatScalar(acc)
-
-    def loop_value(self) -> "FloatScalar":
-        return self.quantum_integer(2)
 
 
 class FloatScalar:

@@ -5,9 +5,9 @@ simple k inside i (x) j, together with the unit index and the duality
 involution.  Structure constants are stored as numpy int64.  The exact
 checks multiply them as float64 matrices only where every partial sum of
 the contraction is an integer below 2**53 in magnitude, so each is exact,
-and as Python ints (dtype=object) past that bound.  Only fp_dimensions
-works in floating point proper, and its output is used for sanity checks
-and search pruning, never for exact decisions.
+and as Python ints (dtype=object) past that bound.  Only `su2_dimensions`
+and `perron_vector` work in floating point proper, and their output is
+printed, never used for exact decisions.
 
 Simple labels are 1-based strings ("1".."17", "9'") so tables read off
 against the standard ADE conventions; indices are 0-based internally.
@@ -148,6 +148,21 @@ class FusionRing:
         return ObjectVec(self.name, tuple(mult))
 
 
+def _check_level(k: int) -> None:
+    if k < 0:
+        raise FusionError("level must be nonnegative")
+    if k > MAX_LEVEL:
+        raise FusionError(f"level {k} exceeds the maximum level {MAX_LEVEL}")
+
+
+def su2_dimensions(k: int) -> np.ndarray:
+    """Dimensions [a]_q = sin(a pi/(k+2)) / sin(pi/(k+2)) of the SU(2) level-k
+    simples a = 1..k+1, at the levels `verlinde_su2` builds."""
+    _check_level(k)
+    a = np.arange(1, k + 2)
+    return np.sin(a * np.pi / (k + 2)) / np.sin(np.pi / (k + 2))
+
+
 def verlinde_su2(k: int) -> FusionRing:
     """The SU(2) level-k fusion ring on labels "1".."k+1".
 
@@ -155,10 +170,7 @@ def verlinde_su2(k: int) -> FusionRing:
     1-based labels a, b, the product contains c for c = |a-b|+1, |a-b|+3,
     ..., min(a+b-1, 2k+3-a-b).
     """
-    if k < 0:
-        raise FusionError("level must be nonnegative")
-    if k > MAX_LEVEL:
-        raise FusionError(f"level {k} exceeds the maximum level {MAX_LEVEL}")
+    _check_level(k)
     r = k + 1
     a, b, c = np.ogrid[1 : r + 1, 1 : r + 1, 1 : r + 1]
     N = (
@@ -296,20 +308,3 @@ def perron_vector(mats: np.ndarray, normalize_at: int, tol: float = 1e-12) -> np
     else:
         raise ArithmeticError("power iteration did not converge")
     return v / v[normalize_at]
-
-
-def fp_dimensions(ring: FusionRing) -> np.ndarray:
-    """Frobenius-Perron dimensions of the simples (floating point)."""
-    report = validate_ring(ring)
-    if not report.ok:
-        raise FusionError("; ".join(report.failures))
-    mats = np.stack([ring.action_matrix(i) for i in range(ring.rank)])
-    if not is_transitive(mats):
-        raise FusionError("ring is not transitive: decompose first")
-    dims = perron_vector(mats, ring.unit)
-    check = np.einsum("ijk,k->ij", ring.N, dims)
-    products = np.outer(dims, dims)
-    # relative tolerance: products of dimensions grow like k^2
-    if np.max(np.abs(check - products)) > 1e-10 * max(1.0, np.max(products)):
-        raise ArithmeticError("dimension vector fails multiplicativity")
-    return dims

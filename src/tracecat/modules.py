@@ -489,9 +489,14 @@ class _FusionSolver:
     reduced together, as one integer product of E with the stacked b.  One
     forcing rule closes the values: an equation with a single unknown cell
     fixes it (its coefficient must divide the rest exactly, and the quotient
-    be a nonnegative integer within `_cell_bound`), and an equation with
-    none must hold.  Once the unit column fixes the dual involution, values
-    also propagate through the based-ring symmetries
+    be a nonnegative integer within the cell's bound), and an equation with
+    none must hold.  Every term of the system is nonnegative, so
+
+        mN[z][x][w] <= mats[i][w][x] // phi[i][z]     for each i with phi[i][z] > 0,
+
+    and `bound[z][x][w]` is the least of these; transitivity gives every
+    column z of phi a positive entry.  Once the unit column fixes the dual
+    involution, values also propagate through the based-ring symmetries
 
         mN[a][b][c] = mN[b*][a*][c*]      (duality compatibility)
         mN[a][b][c] = mN[b][c*][a*]       (cyclic Frobenius relation)
@@ -510,7 +515,14 @@ class _FusionSolver:
         self.m = action.rank
         self.unit = unit
         self.phi = phi
-        self.dims = action.module_dims()
+        self.bound = np.empty((self.m,) * 3, dtype=np.int64)
+        for z in range(self.m):
+            rows = np.nonzero(phi[:, z])[0]
+            if not len(rows):
+                raise ModuleError(f"{action.msimples[z]} is not in any c (x) unit")
+            # [w][x] least quotient over the rows, stored as [x][w]
+            self.bound[z] = (self.mats[rows] // phi[rows, z, None, None]).min(axis=0).T
+        self.bound = self.bound.tolist()
         self._prepare_linear_system()
 
     def _prepare_linear_system(self) -> None:
@@ -553,10 +565,6 @@ class _FusionSolver:
             return None
         return [[int(v) for v in col] for col in (E.astype(dtype) @ B).T]
 
-    def _cell_bound(self, z: int, x: int, w: int) -> int:
-        d = self.dims
-        return int(np.floor(d[z] * d[x] / max(d[w], 1e-9) + 0.5))
-
     def solve(self) -> list[np.ndarray]:
         m = self.m
         self.equations: list[tuple[list, int]] = []
@@ -594,7 +602,8 @@ class _FusionSolver:
         old = vals.get(cell)
         if old is not None:
             return old == value
-        if value < 0 or value > self._cell_bound(*cell):
+        z, x, w = cell
+        if value < 0 or value > self.bound[z][x][w]:
             return False
         vals[cell] = value
         return True
@@ -654,7 +663,8 @@ class _FusionSolver:
             if mN is not None and self._final_check(mN, dual):
                 solutions.append(mN)
             return
-        values = (0, 1) if dual is None else range(self._cell_bound(*cell) + 1)
+        z, x, w = cell
+        values = (0, 1) if dual is None else range(self.bound[z][x][w] + 1)
         for value in values:
             state = dict(vals)
             if self._put(state, cell, value) and self._propagate(state, dual, [cell]):

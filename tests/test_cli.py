@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tracecat import cli
+from tracecat.cyclo import CycloField
 from tracecat.modules import AmbiguousFusion
 from tracecat.packages import ade_action, data_dir, save_package
 
@@ -125,6 +126,18 @@ def test_dims_at_the_maximum_level(capsys):
     code, out, _ = run(capsys, "dims", "--k", "100")
     assert code == 0
     assert len(out.strip().splitlines()) == 101
+
+
+@pytest.mark.parametrize("k", [10, 35, 60, 100])
+def test_dims_match_exact_quantum_integers(capsys, k):
+    # [a]_q built a second way: exactly in Q(zeta), then evaluated
+    field = CycloField.for_level(k)
+    code, out, _ = run(capsys, "dims", "--k", str(k))
+    assert code == 0
+    rows = [line.split("\t") for line in out.splitlines()]
+    assert [label for label, _ in rows] == [str(a) for a in range(1, k + 2)]
+    for a, (_, value) in enumerate(rows, start=1):
+        assert abs(float(value) - complex(field.quantum_integer(a))) < 1e-12
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import cmath
 
+import numpy as np
 import pytest
 
 from tracecat.cyclo import CycloField, FloatField, cyclotomic_polynomial, scalar_field
@@ -72,3 +73,61 @@ def test_float_field_mirrors_exact():
 def test_scalar_field_selector():
     assert isinstance(scalar_field(2), CycloField)
     assert isinstance(scalar_field(2, exact=False), FloatField)
+
+
+def _reduction_table(field):
+    """Row t is x^(d+t) mod Phi_N, for t < N - d, built row from row: the
+    reduction the field used before it divided by Phi_N."""
+    d = field.degree
+    rows = [[-c for c in cyclotomic_polynomial(field.conductor)[:d]]]
+    while len(rows) < field.conductor - d:
+        prev = rows[-1]
+        rows.append([0] + prev[:-1])
+        if prev[-1]:
+            rows[-1] = [c + prev[-1] * r for c, r in zip(rows[-1], rows[0])]
+    return np.array(rows, dtype=np.int64)
+
+
+@pytest.mark.parametrize("k", range(101))
+def test_reduce_matches_reduction_table(k):
+    F = CycloField.for_level(k)
+    d = F.degree
+    table = _reduction_table(F)
+    # keeps every product below exact int64 range
+    assert np.abs(table).max() < 2**20
+    rng = np.random.default_rng(k)
+    for length in range(d + 1, F.conductor + 1):
+        vec = rng.integers(-1000, 1001, size=length)
+        expected = vec[:d] + vec[d:] @ table[: length - d]
+        assert F._reduce(vec.tolist()) == tuple(expected.tolist())
+
+
+LEVELS = [0, 1, 2, 4, 10, 16, 28]
+
+
+@pytest.mark.parametrize("k", LEVELS)
+def test_zeta_powers_multiply(k):
+    F = CycloField.for_level(k)
+    powers = [F.zeta(a) for a in range(F.conductor)]
+    for a, za in enumerate(powers):
+        for b, zb in enumerate(powers):
+            assert za * zb == powers[(a + b) % F.conductor]
+
+
+@pytest.mark.parametrize("k", LEVELS)
+def test_level_constants_agree_between_fields(k):
+    E, F = CycloField.for_level(k), FloatField.for_level(k)
+    pairs = [(E.q(p), F.q(p)) for p in range(-3, 4)]
+    pairs += [(E.q_half(p), F.q_half(p)) for p in range(-3, 4)]
+    pairs += [(E.imag_unit(), F.imag_unit()), (E.loop_value(), F.loop_value())]
+    pairs += [(E.quantum_integer(n), F.quantum_integer(n)) for n in range(k + 3)]
+    for exact, approx in pairs:
+        assert abs(complex(exact) - complex(approx)) < 1e-12
+
+
+@pytest.mark.parametrize("k", LEVELS)
+def test_for_level_is_cached_per_class(k):
+    E, F = CycloField.for_level(k), FloatField.for_level(k)
+    assert type(E) is CycloField and type(F) is FloatField
+    assert CycloField.for_level(k) is E
+    assert FloatField.for_level(k) is F

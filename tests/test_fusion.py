@@ -10,8 +10,8 @@ from tracecat.fusion import (
     FusionError,
     FusionRing,
     ObjectVec,
-    fp_dimensions,
     fuse,
+    su2_dimensions,
     validate_ring,
     verlinde_su2,
 )
@@ -192,25 +192,27 @@ def test_validate_ring_reports_witness():
     [(2, 1, 2**0.5), (4, 1, 3**0.5), (0, 0, 1.0)],
 )
 def test_fp_dimensions_golden(k, index, value):
-    dims = fp_dimensions(verlinde_su2(k))
+    dims = su2_dimensions(k)
     assert abs(dims[index] - value) < 1e-10
 
 
 def test_fp_dimensions_multiplicative():
     ring = verlinde_su2(10)
-    dims = fp_dimensions(ring)
+    dims = su2_dimensions(10)
     check = np.einsum("ijk,k->ij", ring.N, dims)
     assert np.max(np.abs(check - np.outer(dims, dims))) < 1e-10
 
 
 @pytest.mark.parametrize("k", range(35, 61))
 def test_fp_dimensions_at_high_level_match_sine_formula(k):
-    # products of dimensions reach the hundreds here; an absolute 1e-10
-    # multiplicativity tolerance used to reject every k >= 35
-    dims = fp_dimensions(verlinde_su2(k))
-    a = np.arange(1, k + 2)
-    expected = np.sin(a * np.pi / (k + 2)) / np.sin(np.pi / (k + 2))
-    assert np.max(np.abs(dims - expected)) < 1e-9
+    # products of dimensions reach the hundreds here: multiplicativity is
+    # checked relative to the largest product
+    ring = verlinde_su2(k)
+    dims = su2_dimensions(k)
+    products = np.outer(dims, dims)
+    check = np.einsum("ijk,k->ij", ring.N, dims)
+    assert np.max(np.abs(check - products)) < 1e-12 * np.max(products)
+    assert np.all(dims > 0)
 
 
 def test_transitivity_detection():
@@ -222,13 +224,13 @@ def test_transitivity_detection():
     assert not is_transitive(disconnected)
 
 
-def test_fp_dimensions_rejects_invalid_ring():
-    good = verlinde_su2(2)
-    bad_N = np.array(good.N)
-    bad_N[2, 2, 0] = 0  # break the duality pairing of the third simple
-    bad = FusionRing("bad", good.labels, good.unit, good.dual, bad_N)
-    with pytest.raises(FusionError):
-        fp_dimensions(bad)
+@pytest.mark.parametrize("k", [-1, MAX_LEVEL + 1])
+def test_su2_dimensions_rejects_levels_verlinde_rejects(k):
+    with pytest.raises(FusionError) as dims_error:
+        su2_dimensions(k)
+    with pytest.raises(FusionError) as ring_error:
+        verlinde_su2(k)
+    assert str(dims_error.value) == str(ring_error.value)
 
 
 def test_fuse_simple_pair_su2_4():

@@ -19,7 +19,9 @@ and measured the same way as the working tree this script sits in.
   "+")` and `twist_morphism(x (x) y)` (their unprojected wraps built
   untimed first, through the tree's own cache, so these rows time the
   projection), all at k = 4; `identity_suite(k)` for k in
-  {2, 4, 10, 16}; all exact.  Then `derive_module_fusion` of the D12/k=20
+  {2, 4, 10, 16, 28}; all exact.  At k in {4, 16, 28}, `Cyc` `*` over
+  every ordered pair and `inverse` of each of CYC_BATCH seeded elements
+  [a]_q zeta^p + c, built untimed.  Then `derive_module_fusion` of the D12/k=20
   and D22/k=40 actions (each built untimed first), `check_forgetful` on
   the derived D12/k=20 package, and `check_splitting_iso` and
   `check_forgetful` on the derived D22/k=40 package (each package derived
@@ -36,6 +38,7 @@ import argparse
 import json
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -46,6 +49,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TRACIATOR = (2, 3)  # p, q of a '+' traciator at k = 4: the widest pair of the k = 4 suite
 PAIR = (3, 4)  # the labels of that pair's simples
+CYC_BATCH = 100  # one exact product takes only microseconds, an inverse milliseconds
 
 
 def layer_child() -> None:
@@ -95,9 +99,27 @@ def layer_child() -> None:
     rows[f"tl.twist_morphism.x{a}y{b}"] = timed(
         lambda field, x, y, xy: tl.twist_morphism(xy), setup=pair
     )
-    for k in (2, 4, 10, 16):
+    for k in (2, 4, 10, 16, 28):
         # the suite builds its own field, as a perfbench job does
         rows[f"tl.identity_suite.k{k}"] = timed(lambda field, k: tl.identity_suite(k), k)
+
+    for k in (4, 16, 28):
+        field = scalar_field(k)
+        rng = random.Random(k)
+        xs = [
+            field.quantum_integer(rng.randint(1, k + 1)) * field.zeta(rng.randrange(field.conductor))
+            + field.from_int(rng.randint(-9, 9))
+            for _ in range(CYC_BATCH)
+        ]
+        start = time.perf_counter()
+        for a in xs:
+            for b in xs:
+                a * b
+        rows[f"cyclo.mul.k{k}"] = time.perf_counter() - start
+        start = time.perf_counter()
+        for a in xs:
+            a.inverse()
+        rows[f"cyclo.inverse.k{k}"] = time.perf_counter() - start
     for kind, k in (("d12", 20), ("d22", 40)):
         rows[f"modules.derive_module_fusion.{kind}_su2_{k}"] = timed(
             lambda field, action: derive_module_fusion(action),
