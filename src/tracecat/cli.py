@@ -32,6 +32,7 @@ from .fusion import (
     FusionError,
     FusionRing,
     ObjectVec,
+    _check_level,
     fuse,
     su2_dimensions,
     validate_ring,
@@ -276,8 +277,8 @@ def cmd_dims(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.k is not None and args.k < 0:
-        raise CliError("level must be nonnegative", 1)
+    if args.k is not None:
+        _check_level(args.k)
     failures = 0
     lines: list[str] = []
 
@@ -423,8 +424,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.bound is not None and args.bound < 0:
-            raise CliError("bound must be nonnegative", 2)
+        if args.bound is not None and args.bound < 1:
+            raise CliError("bound must be at least 1", 2)
         return args.fn(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,7 +9,9 @@ N = 4(k+2), so that
 
 Elements are represented as integer coefficient vectors (with a single
 positive integer denominator) modulo the N-th cyclotomic polynomial, which
-makes equality decidable and all arithmetic exact.  A complex-double
+makes equality decidable and all arithmetic exact.  Q(zeta) is Galois over
+Q with group (Z/N)^x, so an inverse is the product of the other conjugates
+over the rational norm, in field products alone.  A complex-double
 variant with tolerance-based equality is provided as a fast path; exact
 mode is the default everywhere.
 """
@@ -107,7 +109,6 @@ class CycloField(_LevelField):
         self.conductor = conductor
         minpoly = cyclotomic_polynomial(conductor)
         self.degree = len(minpoly) - 1
-        self._minpoly = minpoly
         # the nonzero terms of the monic minimal polynomial below its top one
         self._lower = [(i, c) for i, c in enumerate(minpoly[:-1]) if c]
         self.zero = Cyc(self, (0,) * self.degree, 1)
@@ -201,27 +202,22 @@ class Cyc:
         return acc
 
     def inverse(self) -> "Cyc":
-        """Multiplicative inverse via the extended Euclidean algorithm in Q[x]."""
+        """Multiplicative inverse through the Galois norm: with rest the
+        product of the conjugates x(zeta^a), 1 < a < N, gcd(a, N) = 1, the
+        norm x * rest is rational and 1/x = rest / norm."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        mod = [Fraction(c) for c in self.field._minpoly]
-        a = [Fraction(c, self.den) for c in self.num]
-        # extended gcd of a and mod
-        r0, r1 = mod, a
-        t0: list[Fraction] = [Fraction(0)]
-        t1: list[Fraction] = [Fraction(1)]
-        while any(r1):
-            q, rem = _polydivmod_frac(r0, r1)
-            r0, r1 = r1, rem
-            t0, t1 = t1, _polysub_frac(t0, _polymul_frac(q, t1))
-        # r0 is the gcd, a nonzero constant since the minimal polynomial is irreducible
-        const = next(c for c in r0 if c != 0)
-        inv = [c / const for c in t0]
-        den = 1
-        for c in inv:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        vec = [int(c * den) for c in inv]
-        return Cyc(self.field, self.field._reduce(vec), den)
+        field = self.field
+        n = field.conductor
+        rest = field.one
+        for a in range(2, n):
+            if math.gcd(a, n) == 1:
+                vec = [0] * n
+                for j, c in enumerate(self.num):
+                    vec[a * j % n] = c
+                rest = rest * Cyc(field, field._reduce(vec), self.den)
+        norm = self * rest
+        return Cyc(field, tuple(c * norm.den for c in rest.num), rest.den * norm.num[0])
 
     def is_zero(self) -> bool:
         return not any(self.num)
@@ -248,43 +244,6 @@ class Cyc:
                 frac = Fraction(c, self.den)
                 terms.append(f"{frac}*z^{p}" if p else f"{frac}")
         return " + ".join(terms) if terms else "0"
-
-
-def _polydivmod_frac(
-    num: list[Fraction], den: list[Fraction]
-) -> tuple[list[Fraction], list[Fraction]]:
-    num = list(num)
-    while num and num[-1] == 0:
-        num.pop()
-    den = list(den)
-    while den and den[-1] == 0:
-        den.pop()
-    if len(num) < len(den):
-        return [Fraction(0)], num
-    out = [Fraction(0)] * (len(num) - len(den) + 1)
-    for shift in range(len(out) - 1, -1, -1):
-        coef = num[shift + len(den) - 1] / den[-1]
-        out[shift] = coef
-        for i, d in enumerate(den):
-            num[shift + i] -= coef * d
-    while num and num[-1] == 0:
-        num.pop()
-    return out, num if num else [Fraction(0)]
-
-
-def _polymul_frac(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _polysub_frac(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
 
 
 class FloatField(_LevelField):

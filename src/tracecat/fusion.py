@@ -289,22 +289,14 @@ def is_transitive(mats: np.ndarray) -> bool:
     return len(seen) == n
 
 
-def perron_vector(mats: np.ndarray, normalize_at: int, tol: float = 1e-12) -> np.ndarray:
-    """Power iteration for the common Perron-Frobenius eigenvector.
+def perron_vector(mats: np.ndarray, normalize_at: int) -> np.ndarray:
+    """The common Perron-Frobenius eigenvector, from one eigendecomposition.
 
     `mats` is a stack of commuting nonnegative matrices whose sum is
-    irreducible; the result is normalised to value 1 at `normalize_at`.
+    irreducible and contains the identity, so the sum is primitive and its
+    Perron root is simple: the eigenvalue of largest real part.  The result
+    is normalised to value 1 at `normalize_at`.
     """
-    total = np.sum(mats, axis=0).astype(float)
-    n = total.shape[0]
-    v = np.ones(n) / n
-    for _ in range(100000):
-        w = total @ v
-        w = w / np.linalg.norm(w)
-        if np.max(np.abs(w - v)) < tol:
-            v = w
-            break
-        v = w
-    else:
-        raise ArithmeticError("power iteration did not converge")
+    values, vectors = np.linalg.eig(np.sum(mats, axis=0).astype(float))
+    v = vectors[:, np.argmax(values.real)].real
     return v / v[normalize_at]

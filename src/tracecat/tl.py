@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cyclo import scalar_field
+from .fusion import _check_level
 from .linalg import reduce_row
 
 
@@ -678,10 +679,10 @@ def identity_suite(k: int, exact: bool = True, strand_cap: int | None = None) ->
 
     The strand cap bounds the total strand count of the two- and
     three-object checks and keeps every intermediate diagram space below
-    10^4 diagrams.  Raises ValueError for a negative level or a cap below 1.
+    10^4 diagrams.  Raises ValueError for a level outside 0..fusion.MAX_LEVEL
+    or a cap below 1.
     """
-    if k < 0:
-        raise ValueError("level must be nonnegative")
+    _check_level(k)
     if strand_cap is None:
         strand_cap = DEFAULT_STRAND_CAPS.get(k, 4)
     if strand_cap < 1:

@@ -140,12 +140,24 @@ def test_dims_match_exact_quantum_integers(capsys, k):
         assert abs(float(value) - complex(field.quantum_integer(a))) < 1e-12
 
 
+def test_builtin_dims_match_exact_quantum_integers(capsys):
+    # the module dimensions of A17 are [a]_q at level 16, built exactly in Q(zeta)
+    field = CycloField.for_level(16)
+    code, out, _ = run(capsys, "dims", "--builtin", "a17_su2_16")
+    assert code == 0
+    rows = [line.split("\t") for line in out.splitlines()]
+    assert len(rows) == 17
+    for a, (_, value) in enumerate(rows, start=1):
+        assert abs(float(value) - complex(field.quantum_integer(a))) < 1e-12
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ("dims", "--k", "101"),
         ("fuse", "--k", "101", "--word", "2"),
         ("trace", "--builtin", "a102_su2_101"),
+        ("verify", "--suite", "tl", "--k", "101"),
     ],
 )
 def test_levels_above_the_maximum_exit_one(capsys, argv):
@@ -328,12 +340,16 @@ def test_negative_levels_on_verify_exit_one(capsys, argv):
         ("fuse", "--k", "4", "--word", "2*2", "--bound", "-1"),
         ("dims", "--k", "4", "--bound", "-1"),
         ("derive", "--builtin", "d4_su2_4", "--bound", "-1"),
+        ("verify", "--suite", "tl", "--k", "2", "--bound", "0"),
+        ("end", "--builtin", "e7_su2_16", "--bound", "0"),
+        ("dims", "--k", "4", "--bound", "0"),
     ],
 )
 def test_negative_bounds_are_usage_errors(capsys, argv):
+    # a bound of 0 is refused too, rather than read as "no bound given"
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert err == "error: bound must be nonnegative\n"
+    assert err == "error: bound must be at least 1\n"
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 

@@ -3,7 +3,7 @@ import cmath
 import numpy as np
 import pytest
 
-from tracecat.cyclo import CycloField, FloatField, cyclotomic_polynomial, scalar_field
+from tracecat.cyclo import Cyc, CycloField, FloatField, cyclotomic_polynomial, scalar_field
 
 
 def test_cyclotomic_polynomials():
@@ -131,3 +131,22 @@ def test_for_level_is_cached_per_class(k):
     assert type(E) is CycloField and type(F) is FloatField
     assert CycloField.for_level(k) is E
     assert FloatField.for_level(k) is F
+
+
+@pytest.mark.parametrize(
+    "field",
+    [CycloField.for_level(k) for k in LEVELS] + [CycloField(n) for n in (1, 2, 3)],
+    ids=[f"k{k}" for k in LEVELS] + [f"N{n}" for n in (1, 2, 3)],
+)
+def test_inverse_of_seeded_elements(field):
+    # inverses are unique, so x * x^-1 == 1 checks the inverse completely
+    rng = np.random.default_rng(field.conductor)
+    for _ in range(5):
+        num = rng.integers(-9, 10, size=field.degree)
+        num[0] += not num.any()
+        x = Cyc(field, tuple(num.tolist()), int(rng.integers(1, 13)))
+        inv = x.inverse()
+        assert x * inv == field.one
+        assert abs(complex(inv) * complex(x) - 1) < 1e-9
+    with pytest.raises(ZeroDivisionError):
+        field.zero.inverse()
