@@ -1,12 +1,22 @@
 """Command-line interface.
 
-Verbs:
+Verbs, each with the only options it accepts (`a | b`: at most one of them):
     trace   -- trace tables, traces of objects and of tensor words
+               --builtin | --package, --object | --word, --format
     end     -- internal End of a module object, or a catalog of them
+               --builtin | --package, --object, --bound, --format, --identify
     fuse    -- products in the base ring or in a package's module ring
+               --builtin | --package | --k, --word, --format
     dims    -- Frobenius-Perron dimensions
+               --builtin | --package | --k
     verify  -- validation and identity suites (nonzero exit on failure)
+               --builtin | --package, --k, --bound, --float, --all, --suite
     derive  -- regenerate a module fusion tensor and diff against the data
+               --builtin | --package, --unit, --out
+
+Any other option, a second option of one group, `verify --k/--bound/--float`
+without `--suite tl` or `--all`, and `end --object --bound` without
+`--identify` are usage errors.
 
 Object expressions are sums `term (+ term)*` with `term = [mult*]label`
 (as in `1+2*9`); word expressions are products `factor (* factor)*`
@@ -14,7 +24,7 @@ where each factor is a label or a parenthesised object expression, so
 `(1+9)*(1+9')` is the tensor square root of the usual example.  The
 environment variable TRACECAT_DATA overrides the builtin package
 directory.  Exit codes: 0 success, 1 verification failure, 2 usage or
-parse error.
+parse error, each error being one `error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -170,9 +180,9 @@ def parse_word(expr: str, labels, space) -> list[ObjectVec]:
 
 
 def _load(args) -> ModuleAction | ModuleTensorData:
-    if getattr(args, "package", None):
+    if args.package:
         return load_package(args.package)
-    if getattr(args, "builtin", None):
+    if args.builtin:
         return load_builtin(args.builtin)
     raise CliError("select a category with --builtin <name> or --package <path>", 2)
 
@@ -195,8 +205,6 @@ def cmd_trace(args) -> int:
     data = _load(args)
     action = data.action
     mspace = f"{action.name}.module"
-    if args.word and args.object:
-        raise CliError("trace takes --object or --word, not both", 2)
     if args.word:
         if not isinstance(data, ModuleTensorData):
             raise CliError(f"{action.name} has no module fusion data for words", 2)
@@ -211,11 +219,13 @@ def cmd_trace(args) -> int:
 
 
 def cmd_end(args) -> int:
+    if args.identify and not args.object:
+        raise CliError("--identify needs --object", 2)
+    if args.object and args.bound and not args.identify:
+        raise CliError("--bound with --object needs --identify", 2)
     data = _load(args)
     action = data.action
     mspace = f"{action.name}.module"
-    if args.identify and not args.object:
-        raise CliError("--identify needs --object", 2)
     if args.object:
         obj = parse_object(args.object, action.msimples, mspace)
         result = internal_end(action, obj)
@@ -277,6 +287,8 @@ def cmd_dims(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not (args.all or args.suite == "tl") and (args.k is not None or args.bound or args.float):
+        raise CliError("--k, --bound and --float need --suite tl or --all", 2)
     if args.k is not None:
         _check_level(args.k)
     failures = 0
@@ -288,19 +300,10 @@ def cmd_verify(args) -> int:
         if not report.ok:
             failures += 1
 
-    run_packages = args.all or args.suite in (None, "packages")
-    run_tl = args.all or args.suite == "tl"
-    if args.builtin or args.package:
-        run_packages = True
-
-    if run_packages:
-        names = (
-            [args.builtin]
-            if args.builtin
-            else ([None] if args.package else list(BUILTIN_FILES) + ["a5_su2_4"])
-        )
-        for name in names:
-            data = load_package(args.package) if name is None else load_builtin(name)
+    selected = args.builtin or args.package
+    if selected or args.all or args.suite in (None, "packages"):
+        every = map(load_builtin, [*BUILTIN_FILES, "a5_su2_4"])
+        for data in [_load(args)] if selected else every:
             action = data.action
             record(validate_ring(action.base))
             record(validate_action(action))
@@ -312,7 +315,7 @@ def cmd_verify(args) -> int:
                 record(check_adjunction(data))
                 record(check_forgetful(data))
 
-    if run_tl:
+    if args.all or args.suite == "tl":
         levels = [args.k] if args.k is not None else [2, 4, 10, 16]
         for k in levels:
             report = identity_suite(k, exact=not args.float, strand_cap=args.bound or None)
@@ -368,63 +371,70 @@ def cmd_derive(args) -> int:
     return 0
 
 
+# The keywords of each option's `add_argument`, by option name.
+OPTIONS = {
+    "builtin": {"help": "shipped package name (e.g. d10_su2_16)"},
+    "package": {"help": "path to a package file"},
+    "object": {"help": "object expression, e.g. '1+2*9'"},
+    "word": {"help": "word expression, e.g. \"(1+9)*(1+9')\""},
+    "k": {"type": int, "help": "SU(2) level"},
+    "bound": {"type": int, "help": "search/enumeration bound"},
+    "format": {"choices": ("text", "tsv"), "default": "text"},
+    "float": {"action": "store_true", "help": "complex-double fast path"},
+    "identify": {"help": "comma-separated builtin names whose catalogs identify the End"},
+    "all": {"action": "store_true", "help": "run every suite"},
+    "suite": {"choices": ("packages", "tl")},
+    "unit": {"help": "unit module label override"},
+    "out": {"help": "write the regenerated package here"},
+}
+
+# (verb, function, help, the options it reads); `a|b` allows at most one of a, b.
+VERBS = (
+    ("trace", cmd_trace, "trace tables and traces of words", "builtin|package object|word format"),
+    (
+        "end",
+        cmd_end,
+        "internal End objects and catalogs",
+        "builtin|package object bound format identify",
+    ),
+    ("fuse", cmd_fuse, "fusion products", "builtin|package|k word format"),
+    ("dims", cmd_dims, "Frobenius-Perron dimensions", "builtin|package|k"),
+    (
+        "verify",
+        cmd_verify,
+        "validation and identity suites",
+        "builtin|package k bound float all suite",
+    ),
+    ("derive", cmd_derive, "regenerate module fusion tensors", "builtin|package unit out"),
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise CliError(message, 2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tracecat",
         description="exact categorified traces over ADE module categories",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def common(p, with_k=False):
-        p.add_argument("--builtin", help="shipped package name (e.g. d10_su2_16)")
-        p.add_argument("--package", help="path to a package file")
-        p.add_argument("--object", help="object expression, e.g. '1+2*9'")
-        p.add_argument("--word", help="word expression, e.g. \"(1+9)*(1+9')\"")
-        p.add_argument("--k", type=int, default=None, help="SU(2) level")
-        p.add_argument("--bound", type=int, default=None, help="search/enumeration bound")
-        p.add_argument("--format", choices=("text", "tsv"), default="text")
-        p.add_argument("--float", action="store_true", help="complex-double fast path")
-
-    p = sub.add_parser("trace", help="trace tables and traces of words")
-    common(p)
-    p.set_defaults(fn=cmd_trace)
-
-    p = sub.add_parser("end", help="internal End objects and catalogs")
-    common(p)
-    p.add_argument(
-        "--identify",
-        help="comma-separated builtin names whose catalogs identify the End",
-    )
-    p.set_defaults(fn=cmd_end)
-
-    p = sub.add_parser("fuse", help="fusion products")
-    common(p)
-    p.set_defaults(fn=cmd_fuse)
-
-    p = sub.add_parser("dims", help="Frobenius-Perron dimensions")
-    common(p)
-    p.set_defaults(fn=cmd_dims)
-
-    p = sub.add_parser("verify", help="validation and identity suites")
-    common(p)
-    p.add_argument("--all", action="store_true", help="run every suite")
-    p.add_argument("--suite", choices=("packages", "tl"))
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("derive", help="regenerate module fusion tensors")
-    common(p)
-    p.add_argument("--unit", help="unit module label override")
-    p.add_argument("--out", help="write the regenerated package here")
-    p.set_defaults(fn=cmd_derive)
-
+    for verb, fn, help_text, options in VERBS:
+        p = sub.add_parser(verb, help=help_text)
+        p.set_defaults(fn=fn)
+        for group in options.split():
+            names = group.split("|")
+            target = p.add_mutually_exclusive_group() if len(names) > 1 else p
+            for name in names:
+                target.add_argument(f"--{name}", **OPTIONS[name])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.bound is not None and args.bound < 1:
+        args = build_parser().parse_args(argv)
+        if getattr(args, "bound", None) is not None and args.bound < 1:
             raise CliError("bound must be at least 1", 2)
         return args.fn(args)
     except CliError as exc:

@@ -140,9 +140,7 @@ def _mn_ravel(data) -> np.ndarray:
     return np.zeros(1, dtype=np.int64)
 
 
-def load_package(
-    path: str | Path, base_dir: str | Path | None = None, *, _loading: frozenset = frozenset()
-):
+def load_package(path: str | Path, *, _loading: frozenset = frozenset()):
     """Parse and validate a package file; every error, an unreadable or
     non-UTF-8 file included, is a PackageError.
 
@@ -159,7 +157,7 @@ def load_package(
     return parse_package(
         text,
         source=str(path),
-        base_dir=base_dir or path.parent,
+        base_dir=path.parent,
         _loading=_loading | {path.resolve()},
     )
 

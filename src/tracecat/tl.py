@@ -428,16 +428,13 @@ def _crossing_coefficients(field, over: bool):
     return -(i * field.q_half(-1)), i * field.q_half(1)
 
 
-def braiding(field, over: bool = True, negate: bool = False) -> TLMorphism:
+def braiding(field, over: bool = True) -> TLMorphism:
     """Kauffman-style crossing: i q^(1/2) id - i q^(-1/2) e (over), inverse for under.
 
-    The sign of q^(1/2) is fixed once and for all (q^(1/2) = zeta); `negate`
-    flips the overall sign of the crossing, the one residual convention the
-    skein relation leaves open.
+    The sign of q^(1/2) is fixed once and for all (q^(1/2) = zeta).
     """
     a, b = _crossing_coefficients(field, over)
-    out = identity(field, 2).scaled(a) + e_generator(field, 2, 0).scaled(b)
-    return out.scaled(field.from_int(-1)) if negate else out
+    return identity(field, 2).scaled(a) + e_generator(field, 2, 0).scaled(b)
 
 
 @lru_cache(maxsize=None)
@@ -536,17 +533,10 @@ def twist_morphism(x: TLObject, positive: bool = True, side: str = "right") -> T
     return compose(curl if side == "right" else curl.mirror(), x.proj)
 
 
-def twist(x: TLObject, variant: int = 1):
-    """Scalar by which the chosen twist acts on the simple object x.
-
-    Variant 1 closes the positive curl to the right, variant 2 to the left;
-    they agree exactly here because the braiding is ribbon.
-    """
-    if variant not in (1, 2):
-        raise ValueError("variant must be 1 or 2")
-    side = "right" if variant == 1 else "left"
-    mor = twist_morphism(x, positive=True, side=side)
-    return extract_scalar(mor, x.proj)
+def twist(x: TLObject):
+    """Scalar by which the twist (the positive curl closed to the right) acts
+    on the simple object x."""
+    return extract_scalar(twist_morphism(x), x.proj)
 
 
 def extract_scalar(mor: TLMorphism, base: TLMorphism):
@@ -740,7 +730,7 @@ def identity_suite(k: int, exact: bool = True, strand_cap: int | None = None) ->
 
     def reidemeister_1():
         x = jones_wenzl(1, field)
-        theta = twist(x, 1)
+        theta = twist(x)
         expected = field.imag_unit() * field.q_half(3)
         if theta != expected:
             return "curl scalar is not i q^(3/2)"

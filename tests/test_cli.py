@@ -331,18 +331,21 @@ def test_negative_levels_on_verify_exit_one(capsys, argv):
     assert err == "error: level must be nonnegative\n"
 
 
+IDENTIFY_E7 = ("--object", "1", "--identify", "e7_su2_16")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ("verify", "--suite", "tl", "--k", "2", "--bound", "-1"),
         ("end", "--builtin", "e7_su2_16", "--bound", "-5"),
-        ("trace", "--builtin", "d4_su2_4", "--bound", "-1"),
-        ("fuse", "--k", "4", "--word", "2*2", "--bound", "-1"),
-        ("dims", "--k", "4", "--bound", "-1"),
-        ("derive", "--builtin", "d4_su2_4", "--bound", "-1"),
+        ("end", "--builtin", "e7_su2_16", *IDENTIFY_E7, "--bound", "-1"),
+        ("verify", "--all", "--bound", "-1"),
+        ("verify", "--suite", "tl", "--k", "4", "--float", "--bound", "-2"),
+        ("end", "--builtin", "d4_su2_4", "--format", "tsv", "--bound", "-1"),
         ("verify", "--suite", "tl", "--k", "2", "--bound", "0"),
         ("end", "--builtin", "e7_su2_16", "--bound", "0"),
-        ("dims", "--k", "4", "--bound", "0"),
+        ("end", "--builtin", "e7_su2_16", *IDENTIFY_E7, "--bound", "0"),
     ],
 )
 def test_negative_bounds_are_usage_errors(capsys, argv):
@@ -421,10 +424,137 @@ def test_text_output_is_refused_past_2_to_the_20_summands(capsys):
     [
         (
             ("trace", "--builtin", "d4_su2_4", "--object", "1", "--word", "3"),
-            "trace takes --object or --word, not both",
+            "argument --word: not allowed with argument --object",
         ),
         (("end", "--builtin", "d4_su2_4", "--identify", "d4_su2_4"), "--identify needs --object"),
     ],
 )
 def test_options_that_would_be_ignored_are_usage_errors(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+# The options each verb reads; every other option is refused.
+ACCEPTS = {
+    "trace": {"builtin", "package", "object", "word", "format"},
+    "end": {"builtin", "package", "object", "bound", "format", "identify"},
+    "fuse": {"builtin", "package", "k", "word", "format"},
+    "dims": {"builtin", "package", "k"},
+    "verify": {"builtin", "package", "k", "bound", "float", "all", "suite"},
+    "derive": {"builtin", "package", "unit", "out"},
+}
+# a value for each option (None: a flag), and a valid argv of each verb
+VALUES = {
+    "builtin": "d4_su2_4",
+    "package": str(data_dir() / "d4_su2_4.pkg"),
+    "object": "1",
+    "word": "2",
+    "k": "4",
+    "bound": "2",
+    "format": "tsv",
+    "float": None,
+    "identify": "d4_su2_4",
+    "all": None,
+    "suite": "tl",
+    "unit": "1",
+    "out": "regen.pkg",
+}
+VALID = {
+    "trace": ("--builtin", "d4_su2_4"),
+    "end": ("--builtin", "d4_su2_4"),
+    "fuse": ("--k", "4", "--word", "2"),
+    "dims": ("--k", "4"),
+    "verify": ("--suite", "tl", "--k", "2"),
+    "derive": ("--builtin", "d4_su2_4"),
+}
+
+
+def _option(name):
+    return (f"--{name}",) if VALUES[name] is None else (f"--{name}", VALUES[name])
+
+
+def test_each_verb_accepts_exactly_the_options_it_reads():
+    subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+    for verb, parser in subparsers.items():
+        assert {a.dest for a in parser._actions} - {"help"} == ACCEPTS[verb]
+    assert sum(len(options) for options in ACCEPTS.values()) == 30
+
+
+@pytest.mark.parametrize(
+    "verb, option",
+    [(verb, opt) for verb in ACCEPTS for opt in VALUES if opt not in ACCEPTS[verb]],
+)
+def test_options_a_verb_does_not_read_are_usage_errors(capsys, verb, option):
+    argv = (verb, *VALID[verb], *_option(option))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: unrecognized arguments: {' '.join(_option(option))}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, first, second",
+    [
+        ((verb, "--builtin", "d4_su2_4", "--package", "p.pkg"), "builtin", "package")
+        for verb in ACCEPTS
+    ]
+    + [
+        (("trace", "--builtin", "d4_su2_4", "--object", "1", "--word", "1"), "object", "word"),
+        (("fuse", "--k", "4", "--builtin", "d4_su2_4", "--word", "2"), "k", "builtin"),
+        (("fuse", "--package", "p.pkg", "--k", "4", "--word", "2"), "package", "k"),
+        (("dims", "--builtin", "d4_su2_4", "--k", "4"), "builtin", "k"),
+        (("dims", "--k", "4", "--package", "p.pkg"), "k", "package"),
+    ],
+)
+def test_exclusive_options_are_usage_errors(capsys, argv, first, second):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: argument --{second}: not allowed with argument --{first}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("dims", "--k", "abc"), "argument --k: invalid int value: 'abc'"),
+        (("trace", "--format", "xml"), "argument --format: invalid choice: 'xml'"),
+        ((), "the following arguments are required: verb"),
+        (("frobnicate",), "argument verb: invalid choice: 'frobnicate'"),
+    ],
+)
+def test_argparse_errors_are_one_line_without_system_exit(capsys, argv, message):
+    code, out, err = run(capsys, *argv)  # a SystemExit would fail the test here
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+NEEDS_TL = "--k, --bound and --float need --suite tl or --all"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "--builtin", "d4_su2_4", "--k", "4"), NEEDS_TL),
+        (("verify", "--builtin", "d4_su2_4", "--bound", "2"), NEEDS_TL),
+        (("verify", "--builtin", "d4_su2_4", "--float"), NEEDS_TL),
+        (("verify", "--suite", "packages", "--k", "2"), NEEDS_TL),
+        (("verify", "--k", "4", "--bound", "2", "--float"), NEEDS_TL),
+        (
+            ("end", "--builtin", "d4_su2_4", "--object", "1", "--bound", "2"),
+            "--bound with --object needs --identify",
+        ),
+    ],
+)
+def test_options_ignored_for_some_values_are_usage_errors(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_adjunction_is_checked_through_duality(capsys, tmp_path):
+    # a valid action (validate_action passes) whose trace matrix is not the
+    # other side of the adjunction: 2 . b holds a twice, but 2 . a holds b once
+    pkg = tmp_path / "fake.pkg"
+    pkg.write_text(
+        "package fake\nbase su2 2\nmsimples a b\nunit a\n"
+        "action 1\n1 0\n0 1\naction 2\n0 2\n1 0\naction 3\n1 0\n0 1\n"
+    )
+    code, out, _ = run(capsys, "verify", "--package", str(pkg))
+    assert code == 1
+    assert "PASS  action fake" in out.splitlines()
+    assert "FAIL  adjunction fake: adjunction fails at (c=2, m=b): 2 vs 1" in out.splitlines()

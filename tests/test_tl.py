@@ -17,6 +17,7 @@ from tracecat.tl import (
     cup,
     e_generator,
     embed,
+    extract_scalar,
     identity,
     identity_suite,
     jones_wenzl,
@@ -91,7 +92,7 @@ def test_braiding_inverse_and_reidemeister():
 
 def test_curl_scalar():
     # closing the positive crossing gives i q^(3/2); Reidemeister I fails by it
-    got = twist(jones_wenzl(1, F), 1)
+    got = twist(jones_wenzl(1, F))
     expected = F.imag_unit() * F.q_half(3)
     assert got == expected
     assert got != F.one
@@ -126,19 +127,20 @@ def test_jones_wenzl_unique_by_annihilation(n):
 def test_twist_matches_kauffman_oracle(n):
     # independent oracle: the positive curl acts on the n-strand projector
     # by (-1)^n A^(n(n+2)) where A = i q^(1/2)
-    th = twist(jones_wenzl(n, F), 1)
+    x = jones_wenzl(n, F)
+    th = twist(x)
     A = F.zeta(K + 3)
     oracle = A ** (n * (n + 2))
     if n % 2:
         oracle = -oracle
     assert th == oracle
-    assert twist(jones_wenzl(n, F), 2) == oracle
+    assert extract_scalar(twist_morphism(x, True, "left"), x.proj) == oracle
 
 
 def test_twist_unit_variants():
-    assert twist(jones_wenzl(0, F), 1) == F.one
+    assert twist(jones_wenzl(0, F)) == F.one
     with pytest.raises(ValueError):
-        twist(jones_wenzl(1, F), 3)
+        twist_morphism(jones_wenzl(1, F), True, "up")
 
 
 def test_pivotal_trace_spherical():
@@ -207,8 +209,8 @@ def test_rotation_duality():
 def test_float_fast_path_agrees():
     Ff = scalar_field(K, exact=False)
     for n in (1, 2, 3):
-        exact = complex(twist(jones_wenzl(n, F), 1))
-        fast = complex(twist(jones_wenzl(n, Ff), 1))
+        exact = complex(twist(jones_wenzl(n, F)))
+        fast = complex(twist(jones_wenzl(n, Ff)))
         assert abs(exact - fast) < 1e-9
 
 
@@ -275,22 +277,6 @@ def test_identity_suite_failure_names_the_exception_type(monkeypatch):
         "(error: ValueError: inconsistent linear system)"
     ) in report.lines()
     assert sum(line.startswith("FAIL") for line in report.lines()) == 1
-
-
-def test_negated_braiding_still_braids():
-    # the leftover sign convention: negating the crossing preserves the
-    # braid relations and inverts the twist's sign
-    b = braiding(F, True, negate=True)
-    binv = braiding(F, False, negate=True)
-    assert compose(b, binv) == identity(F, 2)
-    b1, b2 = embed(b, 0, 1), embed(b, 1, 0)
-    assert compose(b1, compose(b2, b1)) == compose(b2, compose(b1, b2))
-    closed = compose(
-        tensor(identity(F, 1), cap(F)),
-        compose(tensor(b, identity(F, 1)), tensor(identity(F, 1), cup(F))),
-    )
-    curl = closed.terms[next(iter(closed.terms))]
-    assert curl == -(F.imag_unit() * F.q_half(3))
 
 
 def test_identity_suite_float_fast_path():

@@ -18,8 +18,10 @@ and measured the same way as the working tree this script sits in.
   and on the simples x, y of labels 3 and 4 `traciator_self_action(x, y,
   "+")` and `twist_morphism(x (x) y)` (their unprojected wraps built
   untimed first, through the tree's own cache, so these rows time the
-  projection), all at k = 4; `identity_suite(k)` for k in
-  {2, 4, 10, 16, 28}; all exact.  At k in {4, 16, 28}, `Cyc` `*` over
+  projection); `jones_wenzl(5)`; one `compose` of the two '+' traciators
+  that the `traciator_composition` check composes at the labels TRIPLE
+  (strand total 5, the widest), both built untimed; all at k = 4;
+  `identity_suite(k)` for k in {2, 4, 10, 16, 28}; all exact.  At k in {4, 16, 28}, `Cyc` `*` over
   every ordered pair and `inverse` of each of CYC_BATCH seeded elements
   [a]_q zeta^p + c, built untimed.  Then `derive_module_fusion` of the D12/k=20
   and D22/k=40 actions (each built untimed first), `check_forgetful` on
@@ -49,6 +51,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TRACIATOR = (2, 3)  # p, q of a '+' traciator at k = 4: the widest pair of the k = 4 suite
 PAIR = (3, 4)  # the labels of that pair's simples
+TRIPLE = (2, 2, 4)  # labels a, b, c of the slowest composition-law compose at k = 4
 CYC_BATCH = 100  # one exact product takes only microseconds, an inverse milliseconds
 
 
@@ -87,6 +90,14 @@ def layer_child() -> None:
             tl._curl_middle(field, p + q, True, "right")
         return x, y, x.tensor(y)
 
+    def composition_pair(field):
+        """tau(c (x) a, b) and tau(a (x) b, c), composed by the composition law."""
+        a, b, c = (tl.simple_object(label, field) for label in TRIPLE)
+        return (
+            tl.traciator_self_action(c.tensor(a), b, "+"),
+            tl.traciator_self_action(a.tensor(b), c, "+"),
+        )
+
     rows = {}
     for n in range(1, 6):
         rows[f"tl._wrap_right.p{n}q{n}"] = timed(tl._wrap_right, n, n, True)
@@ -98,6 +109,11 @@ def layer_child() -> None:
     )
     rows[f"tl.twist_morphism.x{a}y{b}"] = timed(
         lambda field, x, y, xy: tl.twist_morphism(xy), setup=pair
+    )
+    rows["tl.jones_wenzl.n5"] = timed(lambda field: tl.jones_wenzl(5, field))
+    a, b, c = TRIPLE
+    rows[f"tl.compose.traciator_composition.a{a}b{b}c{c}"] = timed(
+        lambda field, outer, inner: tl.compose(outer, inner), setup=composition_pair
     )
     for k in (2, 4, 10, 16, 28):
         # the suite builds its own field, as a perfbench job does
