@@ -28,7 +28,7 @@ from .algebra import (
     module_dual,
     semisimplicity_witness,
 )
-from .cyclo import Cyc, CycloField, FloatField, scalar_field
+from .cyclo import Cyc, CycloField, scalar_field
 from .fusion import (
     FusionError,
     FusionRing,

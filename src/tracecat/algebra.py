@@ -12,6 +12,7 @@ exhibits a module object whose endomorphism algebra realises it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .fusion import ObjectVec, ValidationReport
@@ -22,6 +23,10 @@ from .modules import (
     action_automorphisms,
 )
 from .trace import internal_end, internal_ends, trace_object, trace_of_word
+
+# The most objects one catalog may enumerate: bound b over m simples gives
+# C(m + b, m) - 1 multisets of total multiplicity 1..b.
+MAX_CATALOG = 100_000
 
 
 @dataclass(frozen=True)
@@ -82,11 +87,18 @@ class Catalog:
 def enumerate_internal_ends(
     action: ModuleAction | ModuleTensorData, max_total_mult: int
 ) -> Catalog:
-    """All module objects of total multiplicity <= bound, one per symmetry orbit."""
+    """All module objects of total multiplicity <= bound, one per symmetry
+    orbit.  Raises ModuleError past MAX_CATALOG multisets to enumerate."""
     act = action.action
     if max_total_mult < 1:
         raise ModuleError("the multiplicity bound must be at least 1")
     m = act.rank
+    count = math.comb(m + max_total_mult, m) - 1
+    if count > MAX_CATALOG:
+        raise ModuleError(
+            f"bound {max_total_mult} would enumerate {count} objects of {act.name}, "
+            f"more than the {MAX_CATALOG} a catalog may hold"
+        )
     # inverse[i] = p.index(i): the image of mult under p is mult read through it
     inverses = [sorted(range(m), key=p.__getitem__) for p in action_automorphisms(act)]
     seen: set[tuple[int, ...]] = set()

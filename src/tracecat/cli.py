@@ -10,13 +10,13 @@ Verbs, each with the only options it accepts (`a | b`: at most one of them):
     dims    -- Frobenius-Perron dimensions
                --builtin | --package | --k
     verify  -- validation and identity suites (nonzero exit on failure)
-               --builtin | --package, --k, --bound, --float, --all, --suite
+               --builtin | --package, --k, --bound, --all, --suite
     derive  -- regenerate a module fusion tensor and diff against the data
                --builtin | --package, --unit, --out
 
-Any other option, a second option of one group, `verify --k/--bound/--float`
+Any other option, a second option of one group, `verify --k/--bound`
 without `--suite tl` or `--all`, and `end --object --bound` without
-`--identify` are usage errors.
+`--identify` are usage errors; an empty option value is never ignored.
 
 Object expressions are sums `term (+ term)*` with `term = [mult*]label`
 (as in `1+2*9`); word expressions are products `factor (* factor)*`
@@ -180,9 +180,9 @@ def parse_word(expr: str, labels, space) -> list[ObjectVec]:
 
 
 def _load(args) -> ModuleAction | ModuleTensorData:
-    if args.package:
+    if args.package is not None:
         return load_package(args.package)
-    if args.builtin:
+    if args.builtin is not None:
         return load_builtin(args.builtin)
     raise CliError("select a category with --builtin <name> or --package <path>", 2)
 
@@ -205,11 +205,11 @@ def cmd_trace(args) -> int:
     data = _load(args)
     action = data.action
     mspace = f"{action.name}.module"
-    if args.word:
+    if args.word is not None:
         if not isinstance(data, ModuleTensorData):
             raise CliError(f"{action.name} has no module fusion data for words", 2)
         result = trace_of_word(data, parse_word(args.word, action.msimples, mspace))
-    elif args.object:
+    elif args.object is not None:
         result = trace_object(data, parse_object(args.object, action.msimples, mspace))
     else:
         sys.stdout.write(trace_table(data, fmt=args.format))
@@ -219,18 +219,18 @@ def cmd_trace(args) -> int:
 
 
 def cmd_end(args) -> int:
-    if args.identify and not args.object:
+    if args.identify is not None and args.object is None:
         raise CliError("--identify needs --object", 2)
-    if args.object and args.bound and not args.identify:
+    if args.object is not None and args.bound is not None and args.identify is None:
         raise CliError("--bound with --object needs --identify", 2)
     data = _load(args)
     action = data.action
     mspace = f"{action.name}.module"
-    if args.object:
+    if args.object is not None:
         obj = parse_object(args.object, action.msimples, mspace)
         result = internal_end(action, obj)
-        print(_emit(result, action.base.labels, args.format))
-        if args.identify:
+        lines = [_emit(result, action.base.labels, args.format)]
+        if args.identify is not None:  # built before printing: an error leaves stdout empty
             catalogs = [
                 enumerate_internal_ends(load_builtin(name), args.bound or 3)
                 for name in args.identify.split(",")
@@ -239,7 +239,8 @@ def cmd_end(args) -> int:
                 result, f"internal_end({action.name})", action.base.unit
             )
             report = semisimplicity_witness(cand, catalogs)
-            print(report.line(action.base.labels))
+            lines.append(report.line(action.base.labels))
+        print("\n".join(lines))
         return 0
     bound = args.bound or 1
     catalog = enumerate_internal_ends(action, bound)
@@ -262,7 +263,7 @@ def _select_ring(args) -> FusionRing:
 
 def cmd_fuse(args) -> int:
     ring = _select_ring(args)
-    if not args.word:
+    if args.word is None:
         raise CliError("fuse needs --word <expr>", 2)
     factors = parse_word(args.word, ring.labels, ring.name)
     acc = factors[0]
@@ -287,8 +288,8 @@ def cmd_dims(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if not (args.all or args.suite == "tl") and (args.k is not None or args.bound or args.float):
-        raise CliError("--k, --bound and --float need --suite tl or --all", 2)
+    if not (args.all or args.suite == "tl") and (args.k is not None or args.bound is not None):
+        raise CliError("--k and --bound need --suite tl or --all", 2)
     if args.k is not None:
         _check_level(args.k)
     failures = 0
@@ -300,7 +301,7 @@ def cmd_verify(args) -> int:
         if not report.ok:
             failures += 1
 
-    selected = args.builtin or args.package
+    selected = args.builtin is not None or args.package is not None
     if selected or args.all or args.suite in (None, "packages"):
         every = map(load_builtin, [*BUILTIN_FILES, "a5_su2_4"])
         for data in [_load(args)] if selected else every:
@@ -318,7 +319,7 @@ def cmd_verify(args) -> int:
     if args.all or args.suite == "tl":
         levels = [args.k] if args.k is not None else [2, 4, 10, 16]
         for k in levels:
-            report = identity_suite(k, exact=not args.float, strand_cap=args.bound or None)
+            report = identity_suite(k, strand_cap=args.bound)
             lines.append(f"-- identity suite, level {k} --")
             lines.extend(report.lines())
             if not report.ok:
@@ -331,9 +332,8 @@ def cmd_verify(args) -> int:
 def cmd_derive(args) -> int:
     data = _load(args)
     action = data.action
-    unit = args.unit if args.unit else None
     try:
-        result = derive_module_fusion(action, unit_module=unit)
+        result = derive_module_fusion(action, unit_module=args.unit)
     except AmbiguousFusion as exc:
         print(f"error: {exc}")
         labels = action.msimples
@@ -348,7 +348,7 @@ def cmd_derive(args) -> int:
         print(f"error: {exc}")
         return 1
     regenerated = package_text(result.data)
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(regenerated)
@@ -360,7 +360,7 @@ def cmd_derive(args) -> int:
         f"derived module fusion for {action.name}: unique up to symmetry "
         f"(raw solutions: {result.n_solutions}, graph symmetries: {symmetry})"
     )
-    if args.builtin:
+    if args.builtin is not None:
         committed = (data_dir() / f"{args.builtin}.pkg")
         if committed.exists():
             if committed.read_text(encoding="utf-8") == regenerated:
@@ -380,7 +380,6 @@ OPTIONS = {
     "k": {"type": int, "help": "SU(2) level"},
     "bound": {"type": int, "help": "search/enumeration bound"},
     "format": {"choices": ("text", "tsv"), "default": "text"},
-    "float": {"action": "store_true", "help": "complex-double fast path"},
     "identify": {"help": "comma-separated builtin names whose catalogs identify the End"},
     "all": {"action": "store_true", "help": "run every suite"},
     "suite": {"choices": ("packages", "tl")},
@@ -403,7 +402,7 @@ VERBS = (
         "verify",
         cmd_verify,
         "validation and identity suites",
-        "builtin|package k bound float all suite",
+        "builtin|package k bound all suite",
     ),
     ("derive", cmd_derive, "regenerate module fusion tensors", "builtin|package unit out"),
 )

@@ -11,9 +11,8 @@ Elements are represented as integer coefficient vectors (with a single
 positive integer denominator) modulo the N-th cyclotomic polynomial, which
 makes equality decidable and all arithmetic exact.  Q(zeta) is Galois over
 Q with group (Z/N)^x, so an inverse is the product of the other conjugates
-over the rational norm, in field products alone.  A complex-double
-variant with tolerance-based equality is provided as a fast path; exact
-mode is the default everywhere.
+over the rational norm, in field products alone.  Every scalar tracecat
+compares is an element of this field: no tolerance decides an identity.
 """
 
 from __future__ import annotations
@@ -67,9 +66,19 @@ def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
-class _LevelField:
-    """The level-k constants, in terms of a subclass's `zeta`, `zero` and
-    conductor N = 4(k+2)."""
+class CycloField:
+    """The field Q(zeta_N), zeta_N = exp(2*pi*i/N), with exact arithmetic."""
+
+    def __init__(self, conductor: int):
+        if conductor < 1:
+            raise ValueError("conductor must be positive")
+        self.conductor = conductor
+        minpoly = cyclotomic_polynomial(conductor)
+        self.degree = len(minpoly) - 1
+        # the nonzero terms of the monic minimal polynomial below its top one
+        self._lower = [(i, c) for i, c in enumerate(minpoly[:-1]) if c]
+        self.zero = Cyc(self, (0,) * self.degree, 1)
+        self.one = self.from_int(1)
 
     @classmethod
     @lru_cache(maxsize=None)
@@ -98,21 +107,6 @@ class _LevelField:
     def loop_value(self):
         """delta = [2]_q = q + q^(-1)."""
         return self.quantum_integer(2)
-
-
-class CycloField(_LevelField):
-    """The field Q(zeta_N), zeta_N = exp(2*pi*i/N), with exact arithmetic."""
-
-    def __init__(self, conductor: int):
-        if conductor < 1:
-            raise ValueError("conductor must be positive")
-        self.conductor = conductor
-        minpoly = cyclotomic_polynomial(conductor)
-        self.degree = len(minpoly) - 1
-        # the nonzero terms of the monic minimal polynomial below its top one
-        self._lower = [(i, c) for i, c in enumerate(minpoly[:-1]) if c]
-        self.zero = Cyc(self, (0,) * self.degree, 1)
-        self.one = self.from_int(1)
 
     def from_int(self, n: int) -> "Cyc":
         vec = [0] * self.degree
@@ -246,68 +240,6 @@ class Cyc:
         return " + ".join(terms) if terms else "0"
 
 
-class FloatField(_LevelField):
-    """Complex-double stand-in for CycloField (fast path, tolerance 1e-9)."""
-
-    TOL = 1e-9
-
-    def __init__(self, conductor: int):
-        self.conductor = conductor
-        self._zeta = cmath.exp(2j * cmath.pi / conductor)
-        self.zero = FloatScalar(0j)
-        self.one = FloatScalar(1 + 0j)
-
-    def from_int(self, n: int) -> "FloatScalar":
-        return FloatScalar(complex(n))
-
-    def zeta(self, power: int = 1) -> "FloatScalar":
-        return FloatScalar(self._zeta**power)
-
-
-class FloatScalar:
-    """Complex number with tolerance-based equality, mirroring Cyc's API."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: complex):
-        self.value = value
-
-    def __add__(self, other: "FloatScalar") -> "FloatScalar":
-        return FloatScalar(self.value + other.value)
-
-    def __sub__(self, other: "FloatScalar") -> "FloatScalar":
-        return FloatScalar(self.value - other.value)
-
-    def __neg__(self) -> "FloatScalar":
-        return FloatScalar(-self.value)
-
-    def __mul__(self, other: "FloatScalar") -> "FloatScalar":
-        return FloatScalar(self.value * other.value)
-
-    def __truediv__(self, other: "FloatScalar") -> "FloatScalar":
-        return FloatScalar(self.value / other.value)
-
-    def __pow__(self, n: int) -> "FloatScalar":
-        return FloatScalar(self.value**n)
-
-    def inverse(self) -> "FloatScalar":
-        return FloatScalar(1 / self.value)
-
-    def is_zero(self) -> bool:
-        return abs(self.value) <= FloatField.TOL
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FloatScalar):
-            return NotImplemented
-        return abs(self.value - other.value) <= FloatField.TOL
-
-    def __complex__(self) -> complex:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"FloatScalar({self.value:.6g})"
-
-
-def scalar_field(k: int, exact: bool = True):
-    """Scalar field for level k: exact cyclotomic, or complex doubles."""
-    return CycloField.for_level(k) if exact else FloatField.for_level(k)
+def scalar_field(k: int) -> CycloField:
+    """The exact scalar field for level k."""
+    return CycloField.for_level(k)

@@ -14,9 +14,9 @@ def reduce_row(basis: dict, row, ncols: int, zero, one) -> list | None:
     """Insert `row` into the reduced row echelon `basis`, in place.
 
     Works over any field whose elements support +, -, *, / and comparison
-    with `zero`: Fraction (pass the int 0, which compares faster), `Cyc`,
-    or `FloatScalar`, whose comparison has a tolerance.  Zero entries are
-    skipped, which keeps the mostly sparse systems solved here cheap.
+    with `zero`: Fraction (pass the int 0, which compares faster) or `Cyc`.
+    Zero entries are skipped, which keeps the mostly sparse systems solved
+    here cheap.
     Returns None when the row adds a pivot, and the fully reduced row, zero
     in its first `ncols` entries, when it does not.
     """

@@ -107,9 +107,8 @@ def _is_noncrossing(nb: int, nt: int, pairing: tuple[int, ...]) -> bool:
 
 
 # Bound on each diagram table below; past it the least recently used
-# entries are evicted.  `tracecat verify --all` (exact or --float) ends with
-# 1,607 interned diagrams and 21,531 glued pairs, so only wider --bound runs
-# reach it.
+# entries are evicted.  `tracecat verify --all` ends with 1,607 interned
+# diagrams and 21,531 glued pairs, so only wider --bound runs reach it.
 _TABLE_BOUND = 100_000
 
 
@@ -215,11 +214,11 @@ class TLMorphism:
         return not self.terms
 
     def __eq__(self, other: object) -> bool:
+        # Cyc is canonical and zero terms are dropped, so equal morphisms
+        # have equal term dicts
         if not isinstance(other, TLMorphism):
             return NotImplemented
-        if (self.n_bottom, self.n_top) != (other.n_bottom, other.n_top):
-            return False
-        return (self - other).is_zero()
+        return (self.n_bottom, self.n_top, self.terms) == (other.n_bottom, other.n_top, other.terms)
 
     def __hash__(self):
         raise TypeError("TLMorphism is unhashable")
@@ -546,7 +545,7 @@ def extract_scalar(mor: TLMorphism, base: TLMorphism):
         raise ValueError("cannot divide by the zero morphism")
     diag, coef = next(iter(base.terms.items()))
     s = mor.terms.get(diag, field.zero) * coef.inverse()
-    if not (base.scaled(s) - mor).is_zero():
+    if base.scaled(s) != mor:
         raise ValueError("morphism is not a scalar multiple of the base")
     return s
 
@@ -669,15 +668,18 @@ def identity_suite(k: int, exact: bool = True, strand_cap: int | None = None) ->
 
     The strand cap bounds the total strand count of the two- and
     three-object checks and keeps every intermediate diagram space below
-    10^4 diagrams.  Raises ValueError for a level outside 0..fusion.MAX_LEVEL
-    or a cap below 1.
+    10^4 diagrams.  Raises ValueError for a level outside 0..fusion.MAX_LEVEL,
+    a cap below 1, or `exact=False`: the suite is exact only, and `exact`
+    stays for callers that pass True.
     """
+    if not exact:
+        raise ValueError("the identity suite is exact only")
     _check_level(k)
     if strand_cap is None:
         strand_cap = DEFAULT_STRAND_CAPS.get(k, 4)
     if strand_cap < 1:
         raise ValueError("strand cap must be at least 1")
-    field = scalar_field(k, exact=exact)
+    field = scalar_field(k)
 
     checks: list[CheckResult] = []
 

@@ -81,7 +81,8 @@ def internal_end(action: ModuleAction | ModuleTensorData, x: ObjectVec) -> Objec
 
 def internal_ends(action: ModuleAction | ModuleTensorData, xs) -> list[ObjectVec]:
     """`internal_end` of each object of xs: sum_jl v_j mats[i, j, l] v_l for
-    all of them at once, in the dtype `fusion._exact_dtype` picks."""
+    all of them at once, one base label i at a time so that memory holds
+    one objects-by-simples product, in the dtype `fusion._exact_dtype` picks."""
     action = action.action
     for x in xs:
         if x.space != f"{action.name}.module" or len(x.mult) != action.rank:
@@ -91,7 +92,7 @@ def internal_ends(action: ModuleAction | ModuleTensorData, xs) -> list[ObjectVec
     V = np.stack([x.as_array() for x in xs])  # one row per object; dtype=object if any row is
     dtype = _exact_dtype((action.rank**2, V, action.mats, V))
     V = V.astype(dtype)
-    out = ((V @ action.mats.astype(dtype)) * V).sum(axis=2)  # [i, object]
+    out = np.stack([((V @ M) * V).sum(axis=1) for M in action.mats.astype(dtype)])  # [i, object]
     return [ObjectVec(action.base.name, tuple(int(c) for c in col)) for col in out.T]
 
 

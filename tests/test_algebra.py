@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from tracecat.algebra import (
+    MAX_CATALOG,
     AlgebraCandidate,
     candidate_from_end,
     candidate_from_trace_unit,
@@ -54,6 +57,19 @@ def test_enumerate_regular_identity():
 def test_enumerate_requires_positive_bound():
     with pytest.raises(ModuleError):
         enumerate_internal_ends(load_builtin("e7_su2_16"), 0)
+
+
+@pytest.mark.parametrize(
+    "name, bound, count",
+    # C(m + b, m) - 1 multisets: a61 at bound 4 peaked past 2.5 GB, d4 at
+    # bound 1000 never finished
+    [("a61_su2_60", 4, math.comb(65, 4) - 1), ("d4_su2_4", 1000, math.comb(1004, 4) - 1)],
+)
+def test_enumerate_refuses_catalogs_past_the_cap(name, bound, count):
+    assert count > MAX_CATALOG
+    message = f"bound {bound} would enumerate {count} objects of {name}, more than the {MAX_CATALOG}"
+    with pytest.raises(ModuleError, match=message):
+        enumerate_internal_ends(load_builtin(name), bound)
 
 
 def test_the_three_identifications(su2_16_catalogs):

@@ -341,7 +341,7 @@ IDENTIFY_E7 = ("--object", "1", "--identify", "e7_su2_16")
         ("end", "--builtin", "e7_su2_16", "--bound", "-5"),
         ("end", "--builtin", "e7_su2_16", *IDENTIFY_E7, "--bound", "-1"),
         ("verify", "--all", "--bound", "-1"),
-        ("verify", "--suite", "tl", "--k", "4", "--float", "--bound", "-2"),
+        ("verify", "--suite", "tl", "--k", "4", "--bound", "-2"),
         ("end", "--builtin", "d4_su2_4", "--format", "tsv", "--bound", "-1"),
         ("verify", "--suite", "tl", "--k", "2", "--bound", "0"),
         ("end", "--builtin", "e7_su2_16", "--bound", "0"),
@@ -439,10 +439,11 @@ ACCEPTS = {
     "end": {"builtin", "package", "object", "bound", "format", "identify"},
     "fuse": {"builtin", "package", "k", "word", "format"},
     "dims": {"builtin", "package", "k"},
-    "verify": {"builtin", "package", "k", "bound", "float", "all", "suite"},
+    "verify": {"builtin", "package", "k", "bound", "all", "suite"},
     "derive": {"builtin", "package", "unit", "out"},
 }
-# a value for each option (None: a flag), and a valid argv of each verb
+# a value for each option (None: a flag), and a valid argv of each verb;
+# `--float`, read by no verb since the suite became exact only, is refused by all
 VALUES = {
     "builtin": "d4_su2_4",
     "package": str(data_dir() / "d4_su2_4.pkg"),
@@ -463,7 +464,7 @@ VALID = {
     "end": ("--builtin", "d4_su2_4"),
     "fuse": ("--k", "4", "--word", "2"),
     "dims": ("--k", "4"),
-    "verify": ("--suite", "tl", "--k", "2"),
+    "verify": ("--suite", "tl", "--k", "4"),
     "derive": ("--builtin", "d4_su2_4"),
 }
 
@@ -476,7 +477,7 @@ def test_each_verb_accepts_exactly_the_options_it_reads():
     subparsers = cli.build_parser()._subparsers._group_actions[0].choices
     for verb, parser in subparsers.items():
         assert {a.dest for a in parser._actions} - {"help"} == ACCEPTS[verb]
-    assert sum(len(options) for options in ACCEPTS.values()) == 30
+    assert sum(len(options) for options in ACCEPTS.values()) == 29
 
 
 @pytest.mark.parametrize(
@@ -525,7 +526,7 @@ def test_argparse_errors_are_one_line_without_system_exit(capsys, argv, message)
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
-NEEDS_TL = "--k, --bound and --float need --suite tl or --all"
+NEEDS_TL = "--k and --bound need --suite tl or --all"
 
 
 @pytest.mark.parametrize(
@@ -533,9 +534,9 @@ NEEDS_TL = "--k, --bound and --float need --suite tl or --all"
     [
         (("verify", "--builtin", "d4_su2_4", "--k", "4"), NEEDS_TL),
         (("verify", "--builtin", "d4_su2_4", "--bound", "2"), NEEDS_TL),
-        (("verify", "--builtin", "d4_su2_4", "--float"), NEEDS_TL),
+        (("verify", "--builtin", "d4_su2_4", "--k", "0"), NEEDS_TL),
         (("verify", "--suite", "packages", "--k", "2"), NEEDS_TL),
-        (("verify", "--k", "4", "--bound", "2", "--float"), NEEDS_TL),
+        (("verify", "--k", "4", "--bound", "2"), NEEDS_TL),
         (
             ("end", "--builtin", "d4_su2_4", "--object", "1", "--bound", "2"),
             "--bound with --object needs --identify",
@@ -558,3 +559,41 @@ def test_adjunction_is_checked_through_duality(capsys, tmp_path):
     assert code == 1
     assert "PASS  action fake" in out.splitlines()
     assert "FAIL  adjunction fake: adjunction fails at (c=2, m=b): 2 vs 1" in out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("end", "--builtin", "a61_su2_60", "--bound", "4"),
+        ("end", "--builtin", "d4_su2_4", "--object", "1", "--identify", "a5_su2_4", "--bound", "1000"),
+    ],
+)
+def test_catalogs_past_the_cap_exit_one(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.endswith(" a catalog may hold\n") and len(err.splitlines()) == 1
+
+
+D4 = ("--builtin", "d4_su2_4")
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (("trace", *D4, "--object="), 2, "empty term in object expression"),
+        (("trace", *D4, "--word="), 2, "word expression ends unexpectedly"),
+        (("end", *D4, "--object="), 2, "empty term in object expression"),
+        (("end", *D4, "--object=", "--bound", "1"), 2, "--bound with --object needs --identify"),
+        (("end", *D4, "--identify="), 2, "--identify needs --object"),
+        (("end", *D4, "--object", "1", "--identify="), 1, "no builtin or package file named ''"),
+        (("fuse", "--k", "4", "--word="), 2, "word expression ends unexpectedly"),
+        (("derive", *D4, "--unit="), 1, "unknown module label '' in d4_su2_4"),
+        (("derive", *D4, "--out="), 1, ": cannot write: No such file or directory"),
+        (("dims", "--builtin="), 1, "no builtin or package file named ''"),
+        (("verify", "--package="), 1, ".: cannot read: Is a directory"),
+    ],
+)
+def test_empty_option_values_are_errors(capsys, argv, code, message):
+    # an empty value used to be read as no value: each of these exited 0
+    # doing something else, or failed on another option
+    assert run(capsys, *argv) == (code, "", f"error: {message}\n")

@@ -3,7 +3,7 @@ import cmath
 import numpy as np
 import pytest
 
-from tracecat.cyclo import Cyc, CycloField, FloatField, cyclotomic_polynomial, scalar_field
+from tracecat.cyclo import Cyc, CycloField, cyclotomic_polynomial, scalar_field
 
 
 def test_cyclotomic_polynomials():
@@ -62,17 +62,8 @@ def test_complex_evaluation_matches_arithmetic():
     assert abs(complex(x + y) - (complex(x) + complex(y))) < 1e-12
 
 
-def test_float_field_mirrors_exact():
-    E = CycloField.for_level(4)
-    F = FloatField.for_level(4)
-    assert abs(complex(F.loop_value()) - complex(E.loop_value())) < 1e-12
-    assert F.quantum_integer(6).is_zero()
-    assert F.imag_unit() * F.imag_unit() == F.from_int(-1)
-
-
 def test_scalar_field_selector():
-    assert isinstance(scalar_field(2), CycloField)
-    assert isinstance(scalar_field(2, exact=False), FloatField)
+    assert scalar_field(2) is CycloField.for_level(2)
 
 
 def _reduction_table(field):
@@ -116,21 +107,21 @@ def test_zeta_powers_multiply(k):
 
 @pytest.mark.parametrize("k", LEVELS)
 def test_level_constants_agree_between_fields(k):
-    E, F = CycloField.for_level(k), FloatField.for_level(k)
-    pairs = [(E.q(p), F.q(p)) for p in range(-3, 4)]
-    pairs += [(E.q_half(p), F.q_half(p)) for p in range(-3, 4)]
-    pairs += [(E.imag_unit(), F.imag_unit()), (E.loop_value(), F.loop_value())]
-    pairs += [(E.quantum_integer(n), F.quantum_integer(n)) for n in range(k + 3)]
+    # the exact constants of Q(zeta) against their closed forms in C
+    E, h = CycloField.for_level(k), cmath.pi / (k + 2)
+    pairs = [(E.q(p), cmath.exp(1j * h * p)) for p in range(-3, 4)]
+    pairs += [(E.q_half(p), cmath.exp(0.5j * h * p)) for p in range(-3, 4)]
+    pairs += [(E.imag_unit(), 1j), (E.loop_value(), 2 * cmath.cos(h))]
+    pairs += [(E.quantum_integer(n), cmath.sin(n * h) / cmath.sin(h)) for n in range(k + 3)]
     for exact, approx in pairs:
-        assert abs(complex(exact) - complex(approx)) < 1e-12
+        assert abs(complex(exact) - approx) < 1e-12
 
 
 @pytest.mark.parametrize("k", LEVELS)
 def test_for_level_is_cached_per_class(k):
-    E, F = CycloField.for_level(k), FloatField.for_level(k)
-    assert type(E) is CycloField and type(F) is FloatField
+    E = CycloField.for_level(k)
+    assert type(E) is CycloField
     assert CycloField.for_level(k) is E
-    assert FloatField.for_level(k) is F
 
 
 @pytest.mark.parametrize(

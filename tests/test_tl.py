@@ -5,7 +5,7 @@ from functools import lru_cache
 import pytest
 
 from tracecat import tl
-from tracecat.cyclo import FloatField, scalar_field
+from tracecat.cyclo import scalar_field
 from tracecat.tl import (
     PlanarDiagram,
     TLMorphism,
@@ -206,22 +206,13 @@ def test_rotation_duality():
     assert b.rotate180() == b
 
 
-def test_float_fast_path_agrees():
-    Ff = scalar_field(K, exact=False)
-    for n in (1, 2, 3):
-        exact = complex(twist(jones_wenzl(n, F)))
-        fast = complex(twist(jones_wenzl(n, Ff)))
-        assert abs(exact - fast) < 1e-9
-
-
-@pytest.mark.parametrize("exact", [True, False])
-def test_delta_powers_follow_a_rebuilt_field(exact):
+def test_delta_powers_follow_a_rebuilt_field():
     # a field freed from the level cache leaves its id free for the next one;
     # the powers of delta must still be the new field's own
-    cache = type(scalar_field(2, exact=exact)).for_level
+    cache = type(scalar_field(2)).for_level
     for k in (2, 4, 10) * 10:
         cache.cache_clear()
-        f = scalar_field(k, exact=exact)
+        f = scalar_field(k)
         assert tl._delta_power(f, 1) == f.loop_value()
         assert tl._delta_power(f, 3) == f.loop_value() ** 3
         del f
@@ -279,9 +270,9 @@ def test_identity_suite_failure_names_the_exception_type(monkeypatch):
     assert sum(line.startswith("FAIL") for line in report.lines()) == 1
 
 
-def test_identity_suite_float_fast_path():
-    report = identity_suite(2, exact=False)
-    assert report.ok, [c for c in report.checks if not c.passed]
+def test_identity_suite_is_exact_only():
+    with pytest.raises(ValueError, match="the identity suite is exact only"):
+        identity_suite(2, exact=False)
 
 
 def test_jones_wenzl_two_strand_formula():
@@ -352,33 +343,27 @@ def _single_diagrams(field, max_top):
 
 
 @pytest.mark.parametrize("k", [2, 4])
-@pytest.mark.parametrize("exact", [True, False])
-def test_local_crossing_equals_glued_braiding(k, exact):
-    field = scalar_field(k, exact=exact)
+def test_local_crossing_equals_glued_braiding(k):
+    field = scalar_field(k)
     for m in _single_diagrams(field, 4):
         n = m.n_top
         for over in (True, False):
             for pos in range(n - 1):
                 local = tl._apply_block_crossings(m, pos, 1, 1, over)
                 glued = compose(embed(braiding(field, over), pos, n - 2 - pos), m)
-                assert local == glued
-                if exact:
-                    assert local.terms == glued.terms
+                assert local.terms == glued.terms
 
 
 @pytest.mark.parametrize("k", [2, 4])
-@pytest.mark.parametrize("exact", [True, False])
-def test_local_caps_equal_glued_caps(k, exact):
-    field = scalar_field(k, exact=exact)
+def test_local_caps_equal_glued_caps(k):
+    field = scalar_field(k)
     for m in _single_diagrams(field, 6):
         n = m.n_top
         for width in range(1, n // 2 + 1):
             for start in range(n - 2 * width + 1):
                 local = tl._cap_off(m, start, width)
                 glued = compose(embed(cap(field, width), start, n - start - 2 * width), m)
-                assert local == glued
-                if exact:
-                    assert local.terms == glued.terms
+                assert local.terms == glued.terms
 
 
 def test_interned_diagram_equals_public_one():
@@ -529,40 +514,30 @@ def _composed_traciator(field, p, q, sign, memo):
 
 
 def _same_terms(got, want):
-    """got equals the exact reference want term by term: the same diagrams,
-    with equal coefficients, or within the float tolerance of them."""
+    """got equals the reference want term by term: the same diagrams, with
+    equal coefficients."""
     assert (got.n_bottom, got.n_top) == (want.n_bottom, want.n_top)
-    if got.field is want.field:
-        assert got.terms == want.terms
-        return
-    assert got.terms.keys() == want.terms.keys()
-    for d, c in want.terms.items():
-        assert abs(complex(got.terms[d]) - complex(c)) <= FloatField.TOL
-
-
-# one exact reference per level serves the exact and the float construction
+    assert got.terms == want.terms
 
 
 @pytest.mark.parametrize("k", [2, 4, 10])
 def test_early_capped_curls_equal_full_width_ones(k):
-    fields = scalar_field(k), scalar_field(k, exact=False)
+    field = scalar_field(k)
     for n in range(1, 6):
         for positive in (True, False):
             for side in ("right", "left"):
-                want = _full_width_curl(fields[0], n, positive, side)
-                for field in fields:
-                    _same_terms(_curl_middle(field, n, positive, side), want)
+                want = _full_width_curl(field, n, positive, side)
+                _same_terms(_curl_middle(field, n, positive, side), want)
 
 
 @pytest.mark.parametrize("k", [2, 4, 10])
 def test_direct_traciators_equal_composed_ones(k):
-    fields, memo = (scalar_field(k), scalar_field(k, exact=False)), {}
+    field, memo = scalar_field(k), {}
     for p in range(7):
         for q in range(7 - p):
             for sign in "+-":
-                want = _composed_traciator(fields[0], p, q, sign, memo)
-                for field in fields:
-                    _same_terms(_traciator_middle(field, p, q, sign), want)
+                want = _composed_traciator(field, p, q, sign, memo)
+                _same_terms(_traciator_middle(field, p, q, sign), want)
 
 
 def test_traciators_compose_and_glue_nothing(monkeypatch):
@@ -667,28 +642,24 @@ def _product(field, labels):
 
 @pytest.mark.parametrize("k, width", [(2, 5), (4, 5), (10, 4)])
 def test_wraps_projected_once_equal_two_sided_ones(k, width):
-    exact, fields = scalar_field(k), (scalar_field(k), scalar_field(k, exact=False))
+    field = scalar_field(k)
     labels = [a for a in range(1, k + 2) if a - 1 <= width]
     pairs = [(a, b) for a in labels for b in labels if a + b - 2 <= width]
     for a, b in pairs:
-        xy, yx = _product(exact, (a, b)), _product(exact, (b, a))
+        xy, yx = _product(field, (a, b)), _product(field, (b, a))
         p, q = a - 1, b - 1
         for sign in "+-":
-            want = _two_sided(xy, _traciator_middle(exact, p, q, sign, tl._wrap_right), yx)
-            for field in fields:
-                x, y = simple_object(a, field), simple_object(b, field)
-                _same_terms(traciator_self_action(x, y, sign), want)
+            want = _two_sided(xy, _traciator_middle(field, p, q, sign, tl._wrap_right), yx)
+            x, y = simple_object(a, field), simple_object(b, field)
+            _same_terms(traciator_self_action(x, y, sign), want)
         for over in (True, False):
-            want = _two_sided(xy, braid_blocks(exact, p, q, over), yx)
-            for field in fields:
-                got = compose(braid_blocks(field, p, q, over), _product(field, (a, b)).proj)
-                _same_terms(got, want)
+            want = _two_sided(xy, braid_blocks(field, p, q, over), yx)
+            _same_terms(compose(braid_blocks(field, p, q, over), xy.proj), want)
     # curls on every simple and every two-factor product of positive width
     for parts in [(a,) for a in labels if a > 1] + [ab for ab in pairs if sum(ab) > 2]:
-        x = _product(exact, parts)
+        x = _product(field, parts)
         for positive in (True, False):
             for side in ("right", "left"):
-                middle = _curl_middle(exact, x.strands, positive, side, tl._wrap_right)
+                middle = _curl_middle(field, x.strands, positive, side, tl._wrap_right)
                 want = _two_sided(x, middle, x)
-                for field in fields:
-                    _same_terms(twist_morphism(_product(field, parts), positive, side), want)
+                _same_terms(twist_morphism(x, positive, side), want)

@@ -2,8 +2,12 @@
 
     python3 tools/bench_file.py --base <git-rev> --out BENCH_<n>.json [--runs 3]
 
-The base revision is exported with `git archive` into a temporary directory
-and measured the same way as the working tree this script sits in.
+Both sides run from fresh temporary directories, each a `git archive`
+export: the base revision, and the working tree this script sits in as the
+commit `git stash create` makes of it (HEAD when the tree is clean), so
+untracked files are measured only once staged.  Both directory names have
+one length: where the tree sits, and how long its path is, moves
+`peak_rss_mb` by itself.
 
 * End-to-end rows: `perfbench/run.py --workload <w> --seed <i> --seconds <s>`
   run `--runs` times per tree on every workload, base and change alternating
@@ -187,13 +191,15 @@ def git(*args: str) -> str:
     ).stdout.strip()
 
 
-def describe(tree: Path, rev: str | None) -> dict:
-    """Git sha and src_lines of a tree: `rev` exported, or None for the working
-    tree, whose sha is HEAD's, marked when src/ differs from it."""
-    if rev is None:
-        sha = git("rev-parse", "HEAD") + ("+dirty" if git("status", "--porcelain", "src") else "")
-    else:
-        sha = git("rev-parse", rev)
+def export(rev: str, tmp: str) -> Path:
+    """The tree of `rev`, extracted into the directory tmp."""
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True, check=True)
+    subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
+    return Path(tmp)
+
+
+def describe(tree: Path, sha: str) -> dict:
+    """Git sha and src_lines of an exported tree."""
     src = tree / "src" / "tracecat"
     lines = sum(len(p.read_text(encoding="utf-8").splitlines()) for p in src.glob("*.py"))
     return {"git_sha": sha, "src_lines": lines, "rows": []}
@@ -226,15 +232,18 @@ def main(argv=None) -> int:
     base_sha = git("rev-parse", "--verify", args.base + "^{commit}")
     import numpy
 
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
-        base_tree = Path(tmp)
-        archive = subprocess.run(
-            ["git", "archive", base_sha], cwd=ROOT, capture_output=True, check=True
-        ).stdout
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        trees = {"parent": base_tree, "change": ROOT}
-        seconds, workloads = benchmark_config(ROOT)
-        if benchmark_config(base_tree) != (seconds, workloads):
+    # the working tree's sha is HEAD's, marked when src/ differs from it
+    change_sha = git("rev-parse", "HEAD") + ("+dirty" if git("status", "--porcelain", "src") else "")
+    change_rev = git("stash", "create") or "HEAD"
+    # prefixes of one length: the length of the tree's path alone moves
+    # peak_rss_mb by about 0.6 MB
+    with (
+        tempfile.TemporaryDirectory(prefix="bench-parent-") as base_tmp,
+        tempfile.TemporaryDirectory(prefix="bench-change-") as change_tmp,
+    ):
+        trees = {"parent": export(base_sha, base_tmp), "change": export(change_rev, change_tmp)}
+        seconds, workloads = benchmark_config(trees["change"])
+        if benchmark_config(trees["parent"]) != (seconds, workloads):
             raise RuntimeError("the two trees' BENCHMARK.json differ in run_seconds or workloads")
         report = {
             "machine": f"nproc {os.cpu_count()}, CPU {cpu_model()}",
@@ -242,8 +251,8 @@ def main(argv=None) -> int:
             "numpy": numpy.__version__,
             "command": f"python3 tools/bench_file.py --base {base_sha} --out {args.out}"
             f" --runs {args.runs}",
-            "parent": describe(base_tree, base_sha),
-            "change": describe(ROOT, None),
+            "parent": describe(trees["parent"], base_sha),
+            "change": describe(trees["change"], change_sha),
         }
         e2e = {(tag, w): [] for tag in trees for w in workloads}
         layers = {tag: [] for tag in trees}
