@@ -6,8 +6,8 @@ Both sides run from fresh temporary directories, each a `git archive`
 export: the base revision, and the working tree this script sits in as the
 commit `git stash create` makes of it (HEAD when the tree is clean), so
 untracked files are measured only once staged.  Both directory names have
-one length: where the tree sits, and how long its path is, moves
-`peak_rss_mb` by itself.
+one length, since the length of a tree's path alone moves `peak_rss_mb` on
+the TL workloads by up to 0.7 MB.
 
 * End-to-end rows: `perfbench/run.py --workload <w> --seed <i> --seconds <s>`
   run `--runs` times per tree on every workload, base and change alternating
@@ -235,8 +235,6 @@ def main(argv=None) -> int:
     # the working tree's sha is HEAD's, marked when src/ differs from it
     change_sha = git("rev-parse", "HEAD") + ("+dirty" if git("status", "--porcelain", "src") else "")
     change_rev = git("stash", "create") or "HEAD"
-    # prefixes of one length: the length of the tree's path alone moves
-    # peak_rss_mb by about 0.6 MB
     with (
         tempfile.TemporaryDirectory(prefix="bench-parent-") as base_tmp,
         tempfile.TemporaryDirectory(prefix="bench-change-") as change_tmp,
