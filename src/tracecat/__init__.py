@@ -82,7 +82,6 @@ from .tl import (
     unit_object,
 )
 from .trace import (
-    TraceMatrix,
     check_adjunction,
     check_forgetful,
     check_splitting_iso,

@@ -49,7 +49,7 @@ class AlgebraCandidate:
 
 
 def candidate_from_trace_unit(data: ModuleTensorData) -> AlgebraCandidate:
-    obj = trace_object(data.action, data.action.basis(data.unit_module))
+    obj = trace_object(data, data.basis(data.unit_module))
     return AlgebraCandidate(obj, f"trace_of_unit({data.name})", data.base.unit)
 
 
@@ -58,12 +58,9 @@ def candidate_from_word(data: ModuleTensorData, word, label: str) -> AlgebraCand
     return AlgebraCandidate(obj, f"trace_of_word({data.name}, {label})", data.base.unit)
 
 
-def candidate_from_end(
-    action: ModuleAction | ModuleTensorData, x: ObjectVec, label: str
-) -> AlgebraCandidate:
-    act = action.action
+def candidate_from_end(action: ModuleAction, x: ObjectVec, label: str) -> AlgebraCandidate:
     return AlgebraCandidate(
-        internal_end(act, x), f"internal_end({act.name}, {label})", act.base.unit
+        internal_end(action, x), f"internal_end({action.name}, {label})", action.base.unit
     )
 
 
@@ -84,23 +81,20 @@ class Catalog:
         return self.package.split("_")[0].upper()
 
 
-def enumerate_internal_ends(
-    action: ModuleAction | ModuleTensorData, max_total_mult: int
-) -> Catalog:
+def enumerate_internal_ends(action: ModuleAction, max_total_mult: int) -> Catalog:
     """All module objects of total multiplicity <= bound, one per symmetry
     orbit.  Raises ModuleError past MAX_CATALOG multisets to enumerate."""
-    act = action.action
     if max_total_mult < 1:
         raise ModuleError("the multiplicity bound must be at least 1")
-    m = act.rank
+    m = action.rank
     count = math.comb(m + max_total_mult, m) - 1
     if count > MAX_CATALOG:
         raise ModuleError(
-            f"bound {max_total_mult} would enumerate {count} objects of {act.name}, "
+            f"bound {max_total_mult} would enumerate {count} objects of {action.name}, "
             f"more than the {MAX_CATALOG} a catalog may hold"
         )
     # inverse[i] = p.index(i): the image of mult under p is mult read through it
-    inverses = [sorted(range(m), key=p.__getitem__) for p in action_automorphisms(act)]
+    inverses = [sorted(range(m), key=p.__getitem__) for p in action_automorphisms(action)]
     seen: set[tuple[int, ...]] = set()
     xs: list[ObjectVec] = []
     for total in range(1, max_total_mult + 1):
@@ -114,10 +108,10 @@ def enumerate_internal_ends(
             if orbit in seen:
                 continue
             seen.add(orbit)
-            xs.append(act.object_vec(orbit))
-    entries = [CatalogEntry(x, end) for x, end in zip(xs, internal_ends(act, xs))]
+            xs.append(action.object_vec(orbit))
+    entries = [CatalogEntry(x, end) for x, end in zip(xs, internal_ends(action, xs))]
     entries.sort(key=lambda e: (e.x.total, e.x.mult))
-    return Catalog(act.name, act, tuple(entries))
+    return Catalog(action.name, action, tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -178,10 +172,10 @@ def check_opposite_iso(
 
 
 def module_dual(data: ModuleTensorData, z: ObjectVec) -> ObjectVec:
-    mult = [0] * data.action.rank
+    mult = [0] * data.rank
     for j, v in enumerate(z.mult):
         mult[data.mdual[j]] += v
-    return data.action.object_vec(mult)
+    return data.object_vec(mult)
 
 
 def check_protected_iso(
@@ -192,11 +186,7 @@ def check_protected_iso(
     With z omitted the check runs over every simple module object.
     """
     failures = []
-    zs = (
-        [z]
-        if z is not None
-        else [data.action.basis(j) for j in range(data.action.rank)]
-    )
+    zs = [z] if z is not None else [data.basis(j) for j in range(data.rank)]
     for zv in zs:
         zstar = module_dual(data, zv)
         lhs = trace_of_word(data, [zv, a, zstar, b])

@@ -66,7 +66,7 @@ from .packages import (
     load_package,
     package_text,
 )
-from .tl import identity_suite
+from .tl import MAX_STRAND_CAP, identity_suite
 from .trace import (
     check_adjunction,
     check_forgetful,
@@ -179,7 +179,7 @@ def parse_word(expr: str, labels, space) -> list[ObjectVec]:
 # -- shared helpers ---------------------------------------------------------------
 
 
-def _load(args) -> ModuleAction | ModuleTensorData:
+def _load(args) -> ModuleAction:
     if args.package is not None:
         return load_package(args.package)
     if args.builtin is not None:
@@ -203,18 +203,16 @@ def _emit(vec: ObjectVec, labels, fmt: str) -> str:
 
 def cmd_trace(args) -> int:
     data = _load(args)
-    action = data.action
-    mspace = f"{action.name}.module"
     if args.word is not None:
         if not isinstance(data, ModuleTensorData):
-            raise CliError(f"{action.name} has no module fusion data for words", 2)
-        result = trace_of_word(data, parse_word(args.word, action.msimples, mspace))
+            raise CliError(f"{data.name} has no module fusion data for words", 2)
+        result = trace_of_word(data, parse_word(args.word, data.msimples, data.space))
     elif args.object is not None:
-        result = trace_object(data, parse_object(args.object, action.msimples, mspace))
+        result = trace_object(data, parse_object(args.object, data.msimples, data.space))
     else:
         sys.stdout.write(trace_table(data, fmt=args.format))
         return 0
-    print(_emit(result, action.base.labels, args.format))
+    print(_emit(result, data.base.labels, args.format))
     return 0
 
 
@@ -224,29 +222,28 @@ def cmd_end(args) -> int:
     if args.object is not None and args.bound is not None and args.identify is None:
         raise CliError("--bound with --object needs --identify", 2)
     data = _load(args)
-    action = data.action
-    mspace = f"{action.name}.module"
     if args.object is not None:
-        obj = parse_object(args.object, action.msimples, mspace)
-        result = internal_end(action, obj)
-        lines = [_emit(result, action.base.labels, args.format)]
+        obj = parse_object(args.object, data.msimples, data.space)
+        result = internal_end(data, obj)
+        lines = [_emit(result, data.base.labels, args.format)]
         if args.identify is not None:  # built before printing: an error leaves stdout empty
-            catalogs = [
-                enumerate_internal_ends(load_builtin(name), args.bound or 3)
-                for name in args.identify.split(",")
-            ]
-            cand = AlgebraCandidate(
-                result, f"internal_end({action.name})", action.base.unit
-            )
+            # each name once, in first-seen order, every one loaded and over
+            # the object's base ring before any catalog is enumerated
+            refs = {name: load_builtin(name) for name in args.identify.split(",")}
+            for name, ref in refs.items():
+                if ref.base != data.base:
+                    raise CliError(f"{name} is over {ref.base.name}, not {data.base.name}", 1)
+            catalogs = [enumerate_internal_ends(ref, args.bound or 3) for ref in refs.values()]
+            cand = AlgebraCandidate(result, f"internal_end({data.name})", data.base.unit)
             report = semisimplicity_witness(cand, catalogs)
-            lines.append(report.line(action.base.labels))
+            lines.append(report.line(data.base.labels))
         print("\n".join(lines))
         return 0
     bound = args.bound or 1
-    catalog = enumerate_internal_ends(action, bound)
+    catalog = enumerate_internal_ends(data, bound)
     for entry in catalog.entries:
-        lhs = decomposition(entry.x, action.msimples, "machine")
-        rhs = _emit(entry.end, action.base.labels, args.format)
+        lhs = decomposition(entry.x, data.msimples, "machine")
+        rhs = _emit(entry.end, data.base.labels, args.format)
         sep = "\t" if args.format == "tsv" else " : "
         print(f"{lhs}{sep}{rhs}")
     return 0
@@ -279,9 +276,8 @@ def cmd_dims(args) -> int:
         labels = [str(a) for a in range(1, len(dims) + 1)]
     else:
         data = _load(args)
-        action = data.action
-        dims = action.module_dims()
-        labels = action.msimples
+        dims = data.module_dims()
+        labels = data.msimples
     for label, value in zip(labels, dims):
         print(f"{label}\t{value:.12f}")
     return 0
@@ -292,6 +288,8 @@ def cmd_verify(args) -> int:
         raise CliError("--k and --bound need --suite tl or --all", 2)
     if args.k is not None:
         _check_level(args.k)
+    if args.bound is not None and args.bound > MAX_STRAND_CAP:
+        raise CliError(f"strand cap {args.bound} exceeds the maximum {MAX_STRAND_CAP}", 1)
     failures = 0
     lines: list[str] = []
 
@@ -305,14 +303,13 @@ def cmd_verify(args) -> int:
     if selected or args.all or args.suite in (None, "packages"):
         every = map(load_builtin, [*BUILTIN_FILES, "a5_su2_4"])
         for data in [_load(args)] if selected else every:
-            action = data.action
-            record(validate_ring(action.base))
-            record(validate_action(action))
+            record(validate_ring(data.base))
+            record(validate_action(data))
             if isinstance(data, ModuleTensorData):
                 record(validate_tensor_data(data))
                 record(check_splitting_iso(data))
                 record(check_traciator_iso(data))
-            if action.unit_module is not None:
+            if data.unit_module is not None:
                 record(check_adjunction(data))
                 record(check_forgetful(data))
 
@@ -331,17 +328,16 @@ def cmd_verify(args) -> int:
 
 def cmd_derive(args) -> int:
     data = _load(args)
-    action = data.action
     try:
-        result = derive_module_fusion(action, unit_module=args.unit)
+        result = derive_module_fusion(data, unit_module=args.unit)
     except AmbiguousFusion as exc:
         print(f"error: {exc}")
-        labels = action.msimples
+        labels = data.msimples
         for idx, sol in enumerate(exc.solutions, start=1):
             print(f"-- solution {idx} --")
             for x, xl in enumerate(labels):
                 for y, yl in enumerate(labels):
-                    vec = ObjectVec(f"{action.name}.module", tuple(int(v) for v in sol[x, y]))
+                    vec = data.object_vec(sol[x, y])
                     print(f"{xl} * {yl} = {decomposition(vec, labels, 'machine')}")
         return 1
     except NoConsistentFusion as exc:
@@ -357,7 +353,7 @@ def cmd_derive(args) -> int:
         print(f"wrote {args.out}")
     symmetry = len(result.symmetries)
     print(
-        f"derived module fusion for {action.name}: unique up to symmetry "
+        f"derived module fusion for {data.name}: unique up to symmetry "
         f"(raw solutions: {result.n_solutions}, graph symmetries: {symmetry})"
     )
     if args.builtin is not None:

@@ -65,7 +65,8 @@ class ModuleAction:
             raise ModuleError("unit module index out of range")
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ModuleAction):
+        # a ModuleTensorData never equals a plain action with the same matrices
+        if type(other) is not type(self):
             return NotImplemented
         return (
             self.name == other.name
@@ -76,14 +77,13 @@ class ModuleAction:
         )
 
     @property
-    def action(self) -> "ModuleAction":
-        """This action, so that code taking a ModuleAction or a
-        ModuleTensorData reads `.action` from either."""
-        return self
-
-    @property
     def rank(self) -> int:
         return len(self.msimples)
+
+    @property
+    def space(self) -> str:
+        """The label space of the module objects."""
+        return f"{self.name}.module"
 
     def index(self, label: str) -> int:
         try:
@@ -98,10 +98,10 @@ class ModuleAction:
             j = self.index(j)
         mult = [0] * self.rank
         mult[j] = 1
-        return ObjectVec(f"{self.name}.module", tuple(mult))
+        return ObjectVec(self.space, tuple(mult))
 
     def object_vec(self, mult) -> ObjectVec:
-        return ObjectVec(f"{self.name}.module", tuple(int(v) for v in mult))
+        return ObjectVec(self.space, tuple(int(v) for v in mult))
 
     def phi_matrix(self) -> np.ndarray:
         """Row i = image of the base simple c_i under the free-module map."""
@@ -208,72 +208,57 @@ def chebyshev_action(
 
 def regular_module(ring: FusionRing, name: str | None = None) -> "ModuleTensorData":
     """The ring acting on itself; the module fusion tensor is the ring's own."""
-    mats = np.stack([ring.action_matrix(i) for i in range(ring.rank)])
-    action = ModuleAction(
+    return ModuleTensorData(
         name=name or f"regular_{ring.name}",
         base=ring,
         base_spec=_base_spec_for(ring),
         msimples=ring.labels,
-        mats=mats,
+        mats=np.stack([ring.action_matrix(i) for i in range(ring.rank)]),
         unit_module=ring.unit,
+        mN=ring.N.copy(),
+        mdual=ring.dual,
     )
-    return ModuleTensorData(action=action, mN=ring.N.copy(), mdual=ring.dual)
 
 
 def _base_spec_for(ring: FusionRing) -> str:
+    """The `base` line of a package over `ring`; the module ring of the
+    package `<pkg>` is named `<pkg>.module` (`ModuleAction.space`)."""
     if ring.name.startswith("su2_"):
         return f"su2 {ring.name.split('_')[1]}"
-    return f"file {ring.name}"
+    return f"file {ring.name.removesuffix('.module')}"
 
 
 @dataclass(frozen=True)
-class ModuleTensorData:
-    """A module category with compatible tensor structure (at the K-level)."""
+class ModuleTensorData(ModuleAction):
+    """A module category with compatible tensor structure (at the K-level):
+    the action plus the module fusion tensor mN and the duality of the
+    module simples."""
 
-    action: ModuleAction
-    mN: np.ndarray = field(compare=False, repr=False)
-    mdual: tuple[int, ...] = ()
+    mN: np.ndarray = field(kw_only=True, compare=False, repr=False)
+    mdual: tuple[int, ...] = field(kw_only=True, default=())
 
     def __post_init__(self):
-        if self.action.unit_module is None:
+        super().__post_init__()
+        if self.unit_module is None:
             raise ModuleError("module tensor data requires a unit module")
         mN = np.asarray(self.mN, dtype=np.int64)
         mN.setflags(write=False)
         object.__setattr__(self, "mN", mN)
-        m = self.action.rank
+        m = self.rank
         if mN.shape != (m, m, m):
             raise ModuleError("module fusion tensor has wrong shape")
         if not self.mdual:
             object.__setattr__(self, "mdual", _dual_from_tensor(mN, self.unit_module))
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ModuleTensorData):
-            return NotImplemented
-        return (
-            self.action == other.action
-            and self.mdual == other.mdual
-            and np.array_equal(self.mN, other.mN)
-        )
-
-    @property
-    def name(self) -> str:
-        return self.action.name
-
-    @property
-    def base(self) -> FusionRing:
-        return self.action.base
-
-    @property
-    def msimples(self) -> tuple[str, ...]:
-        return self.action.msimples
-
-    @property
-    def unit_module(self) -> int:
-        return self.action.unit_module
+        same = super().__eq__(other)
+        if same is not True:
+            return same
+        return self.mdual == other.mdual and np.array_equal(self.mN, other.mN)
 
     def module_ring(self) -> FusionRing:
         return FusionRing(
-            name=f"{self.name}.module",
+            name=self.space,
             labels=self.msimples,
             unit=self.unit_module,
             dual=self.mdual,
@@ -281,10 +266,9 @@ class ModuleTensorData:
         )
 
     def mfuse(self, x: ObjectVec, y: ObjectVec) -> ObjectVec:
-        space = f"{self.name}.module"
-        if x.space != space or y.space != space:
-            raise ModuleError(f"objects do not live over {space}")
-        return ObjectVec(space, _exact_product(x, y, self.mN))
+        if x.space != self.space or y.space != self.space:
+            raise ModuleError(f"objects do not live over {self.space}")
+        return ObjectVec(self.space, _exact_product(x, y, self.mN))
 
 
 def _dual_from_tensor(mN: np.ndarray, unit: int) -> tuple[int, ...]:
@@ -299,11 +283,11 @@ def _dual_from_tensor(mN: np.ndarray, unit: int) -> tuple[int, ...]:
 
 
 def validate_tensor_data(data: ModuleTensorData) -> ValidationReport:
-    failures = list(validate_action(data.action).failures)
+    failures = list(validate_action(data).failures)
     ring_report = validate_ring(data.module_ring())
     failures += ring_report.failures
-    phi = data.action.phi_matrix()
-    mats, mN, N = data.action.mats, data.mN, data.base.N
+    phi = data.phi_matrix()
+    mats, mN, N = data.mats, data.mN, data.base.N
     r, m = phi.shape
     dtype = _exact_dtype((m * m, phi, phi, mN), (r, N, phi))
     phi, mN, N = phi.astype(dtype), mN.astype(dtype), N.astype(dtype)
@@ -411,21 +395,21 @@ def derive_module_fusion(
             raise ModuleError("no unit module specified")
     else:
         unit = action.index(unit_module) if isinstance(unit_module, str) else unit_module
-    if action.unit_module != unit:
-        action = ModuleAction(
-            name=action.name,
-            base=action.base,
-            base_spec=action.base_spec,
-            msimples=action.msimples,
-            mats=action.mats,
-            unit_module=unit,
-        )
+    # the result takes the action's fields and the solved mN, never an mN
+    # the caller's data carried
+    fields = dict(
+        name=action.name,
+        base=action.base,
+        base_spec=action.base_spec,
+        msimples=action.msimples,
+        mats=action.mats,
+        unit_module=unit,
+    )
+    action = ModuleAction(**fields)
     report = validate_action(action)
     if not report.ok:
         raise ModuleError("; ".join(report.failures))
 
-    m = action.rank
-    mats = action.mats
     phi = action.phi_matrix()  # (rank_base, m)
     solver = _FusionSolver(action, phi, unit)
     solutions = solver.solve()
@@ -442,7 +426,7 @@ def derive_module_fusion(
             "quotienting by graph symmetry",
             reps,
         )
-    data = ModuleTensorData(action=action, mN=reps[0])
+    data = ModuleTensorData(**fields, mN=reps[0])
     check = validate_tensor_data(data)
     if not check.ok:
         raise NoConsistentFusion("; ".join(check.failures))

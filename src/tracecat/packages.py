@@ -107,37 +107,29 @@ def ade_action(kind: str, level: int, unit: str | None = "1") -> ModuleAction:
 # -- serialization --------------------------------------------------------------
 
 
-def save_package(data: ModuleAction | ModuleTensorData, path: str | Path) -> None:
+def save_package(data: ModuleAction, path: str | Path) -> None:
     Path(path).write_text(package_text(data), encoding="utf-8")
 
 
-def package_text(data: ModuleAction | ModuleTensorData) -> str:
-    action = data.action
-    lines = [f"package {action.name}", f"base {action.base_spec}"]
-    lines.append("msimples " + " ".join(action.msimples))
-    if action.unit_module is not None:
-        lines.append(f"unit {action.msimples[action.unit_module]}")
-    width = max(
-        len(str(int(v))) for v in np.concatenate([action.mats.ravel(), _mn_ravel(data)])
-    )
-    for i, label in enumerate(action.base.labels):
+def package_text(data: ModuleAction) -> str:
+    lines = [f"package {data.name}", f"base {data.base_spec}"]
+    lines.append("msimples " + " ".join(data.msimples))
+    if data.unit_module is not None:
+        lines.append(f"unit {data.msimples[data.unit_module]}")
+    entries = [data.mats, data.mN] if isinstance(data, ModuleTensorData) else [data.mats]
+    width = max(len(str(int(v))) for a in entries for v in a.ravel())
+    for i, label in enumerate(data.base.labels):
         lines.append(f"action {label}")
-        for row in action.mats[i]:
+        for row in data.mats[i]:
             lines.append(" ".join(str(int(v)).rjust(width) for v in row))
     if isinstance(data, ModuleTensorData):
-        for x, xl in enumerate(action.msimples):
-            for y, yl in enumerate(action.msimples):
+        for x, xl in enumerate(data.msimples):
+            for y, yl in enumerate(data.msimples):
                 lines.append(f"mfusion {xl} {yl}")
                 lines.append(
                     " ".join(str(int(v)).rjust(width) for v in data.mN[x, y])
                 )
     return "\n".join(lines) + "\n"
-
-
-def _mn_ravel(data) -> np.ndarray:
-    if isinstance(data, ModuleTensorData):
-        return data.mN.ravel()
-    return np.zeros(1, dtype=np.int64)
 
 
 def load_package(path: str | Path, *, _loading: frozenset = frozenset()):
@@ -304,7 +296,7 @@ def parse_package(
             fail(first_line, f"unit label {unit_label!r} is not a module simple")
         unit_index = msimples.index(unit_label)
 
-    action = ModuleAction(
+    fields = dict(
         name=name,
         base=base,
         base_spec=base_spec,
@@ -312,6 +304,7 @@ def parse_package(
         mats=np.stack([actions[lab] for lab in base.labels]),
         unit_module=unit_index,
     )
+    action = ModuleAction(**fields)
     report = validate_action(action)
     if not report.ok:
         fail(first_line, "; ".join(report.failures))
@@ -328,7 +321,7 @@ def parse_package(
                 fail(len(lines), f"missing mfusion block for {xl} {yl}")
             mN[x, y] = mfusion[(xl, yl)]
     try:
-        data = ModuleTensorData(action=action, mN=mN)
+        data = ModuleTensorData(**fields, mN=mN)
         report = validate_tensor_data(data)
     except (ModuleError, FusionError) as exc:
         fail(first_line, str(exc))

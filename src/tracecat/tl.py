@@ -661,6 +661,9 @@ def jw_by_annihilation(n: int, field) -> TLMorphism:
 
 
 DEFAULT_STRAND_CAPS = {2: 6, 4: 5, 10: 4, 16: 4}
+# The largest cap the suite accepts, the largest default: at k = 4 a cap of
+# 7 already takes tens of seconds, and the cost grows with the level.
+MAX_STRAND_CAP = max(DEFAULT_STRAND_CAPS.values())
 
 
 def identity_suite(k: int, exact: bool = True, strand_cap: int | None = None) -> SuiteReport:
@@ -669,8 +672,8 @@ def identity_suite(k: int, exact: bool = True, strand_cap: int | None = None) ->
     The strand cap bounds the total strand count of the two- and
     three-object checks and keeps every intermediate diagram space below
     10^4 diagrams.  Raises ValueError for a level outside 0..fusion.MAX_LEVEL,
-    a cap below 1, or `exact=False`: the suite is exact only, and `exact`
-    stays for callers that pass True.
+    a cap outside 1..MAX_STRAND_CAP, or `exact=False`: the suite is exact
+    only, and `exact` stays for callers that pass True.
     """
     if not exact:
         raise ValueError("the identity suite is exact only")
@@ -679,6 +682,8 @@ def identity_suite(k: int, exact: bool = True, strand_cap: int | None = None) ->
         strand_cap = DEFAULT_STRAND_CAPS.get(k, 4)
     if strand_cap < 1:
         raise ValueError("strand cap must be at least 1")
+    if strand_cap > MAX_STRAND_CAP:
+        raise ValueError(f"strand cap {strand_cap} exceeds the maximum {MAX_STRAND_CAP}")
     field = scalar_field(k)
 
     checks: list[CheckResult] = []

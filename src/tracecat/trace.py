@@ -13,7 +13,6 @@ checks in this module are exhaustive and exact.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -23,39 +22,19 @@ from .linalg import reduce_row
 from .modules import ModuleAction, ModuleError, ModuleTensorData
 
 
-@dataclass(frozen=True)
-class TraceMatrix:
-    """Multiplicity of the base simple c_i in the trace of the module simple m_j."""
-
-    base_labels: tuple[str, ...]
-    module_labels: tuple[str, ...]
-    T: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.T, dtype=np.int64)
-        t.setflags(write=False)
-        object.__setattr__(self, "T", t)
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(int(v) for v in self.T[:, j])
-
-
-def trace_matrix(data: ModuleTensorData | ModuleAction) -> TraceMatrix:
-    action = data.action
+def trace_matrix(action: ModuleAction) -> np.ndarray:
+    """T[i, j]: the multiplicity of the base simple c_i in the trace of the
+    module simple m_j, as a read-only int64 view of the action matrices."""
     if action.unit_module is None:
         raise ModuleError(f"{action.name} has no unit module; cannot take traces")
-    T = action.mats[:, :, action.unit_module]
-    return TraceMatrix(action.base.labels, action.msimples, T)
+    return action.mats[:, :, action.unit_module]
 
 
-def trace_object(
-    data: ModuleTensorData | ModuleAction, x: ObjectVec
-) -> ObjectVec:
+def trace_object(action: ModuleAction, x: ObjectVec) -> ObjectVec:
     """Linear extension of the trace to arbitrary module objects."""
-    action = data.action
-    if x.space != f"{action.name}.module" or len(x.mult) != action.rank:
+    if x.space != action.space or len(x.mult) != action.rank:
         raise FusionError(f"object over {x.space} does not match module {action.name}")
-    T, v = trace_matrix(data).T, x.as_array()
+    T, v = trace_matrix(action), x.as_array()
     dtype = _exact_dtype((len(v), T, v))
     return ObjectVec(action.base.name, tuple(int(c) for c in T.astype(dtype) @ v.astype(dtype)))
 
@@ -66,7 +45,7 @@ def trace_of_word(data: ModuleTensorData, word) -> ObjectVec:
         raise ModuleError("tensor words need module fusion data")
     factors = list(word)
     if not factors:
-        acc = data.action.basis(data.unit_module)
+        acc = data.basis(data.unit_module)
     else:
         acc = factors[0]
         for factor in factors[1:]:
@@ -74,18 +53,17 @@ def trace_of_word(data: ModuleTensorData, word) -> ObjectVec:
     return trace_object(data, acc)
 
 
-def internal_end(action: ModuleAction | ModuleTensorData, x: ObjectVec) -> ObjectVec:
+def internal_end(action: ModuleAction, x: ObjectVec) -> ObjectVec:
     """The base object representing endomorphisms of the module object x."""
     return internal_ends(action, [x])[0]
 
 
-def internal_ends(action: ModuleAction | ModuleTensorData, xs) -> list[ObjectVec]:
+def internal_ends(action: ModuleAction, xs) -> list[ObjectVec]:
     """`internal_end` of each object of xs: sum_jl v_j mats[i, j, l] v_l for
     all of them at once, one base label i at a time so that memory holds
     one objects-by-simples product, in the dtype `fusion._exact_dtype` picks."""
-    action = action.action
     for x in xs:
-        if x.space != f"{action.name}.module" or len(x.mult) != action.rank:
+        if x.space != action.space or len(x.mult) != action.rank:
             raise FusionError(f"object over {x.space} does not match module {action.name}")
         if x.is_zero():
             raise ModuleError("internal End of the zero object is undefined")
@@ -99,7 +77,7 @@ def internal_ends(action: ModuleAction | ModuleTensorData, xs) -> list[ObjectVec
 # -- verification ---------------------------------------------------------------
 
 
-def check_adjunction(data: ModuleTensorData | ModuleAction) -> ValidationReport:
+def check_adjunction(action: ModuleAction) -> ValidationReport:
     """dim Hom(c_i, Tr m_j) = dim Hom(Phi(c_i), m_j), exhaustively.
 
     The right side is T[i, j] = mats[i, j, unit], the multiplicity of m_j in
@@ -107,8 +85,7 @@ def check_adjunction(data: ModuleTensorData | ModuleAction) -> ValidationReport:
     = mats[dual(i), unit, j], so an action whose matrices do not respect the
     duality fails.  Failures are listed in (c, m) index order.
     """
-    action = data.action
-    T = trace_matrix(data).T
+    T = trace_matrix(action)
     hom = action.mats[list(action.base.dual), action.unit_module, :]
     failures = [
         f"adjunction fails at (c={action.base.labels[i]}, "
@@ -125,9 +102,9 @@ def check_splitting_iso(data: ModuleTensorData) -> ValidationReport:
     `fusion._exact_dtype` picks.  Failures are listed in (x, c) index order.
     """
     failures: list[str] = []
-    action, base = data.action, data.base
-    phi, N = action.phi_matrix(), base.N
-    T = trace_matrix(data).T
+    base = data.base
+    phi, N = data.phi_matrix(), base.N
+    T = trace_matrix(data)
     r, m = phi.shape
     dtype = _exact_dtype((m * m, phi, data.mN, T), (r, T, N))
     phi, mN, T, N = (a.astype(dtype) for a in (phi, data.mN, T, N))
@@ -136,7 +113,7 @@ def check_splitting_iso(data: ModuleTensorData) -> ValidationReport:
     rhs = (T.T @ N.reshape(r, r * r)).reshape(m, r, r)
     for j, i in np.argwhere((lhs != rhs).any(axis=2)):
         failures.append(
-            f"splitting fails at (m={action.msimples[j]}, c={base.labels[i]}): "
+            f"splitting fails at (m={data.msimples[j]}, c={base.labels[i]}): "
             f"{tuple(int(v) for v in lhs[j, i])} vs {tuple(int(v) for v in rhs[j, i])}"
         )
     return ValidationReport(f"splitting {data.name}", failures)
@@ -154,7 +131,7 @@ def check_traciator_iso(data: ModuleTensorData) -> ValidationReport:
     failures: list[str] = []
     labels = data.msimples
     m = len(labels)
-    T = trace_matrix(data).T
+    T = trace_matrix(data)
     dtype = _exact_dtype((m * m, data.mN, data.mN, T))
     mN, T = data.mN.astype(dtype), T.astype(dtype)
     pair = mN @ T.T  # [x, y, i]: multiplicity of c_i in Tr(x (x) y)
@@ -172,7 +149,7 @@ def check_traciator_iso(data: ModuleTensorData) -> ValidationReport:
     return ValidationReport(f"trace rotation {data.name}", failures)
 
 
-def check_forgetful(data: ModuleTensorData | ModuleAction) -> ValidationReport:
+def check_forgetful(action: ModuleAction) -> ValidationReport:
     """The trace agrees with the underlying-object map, two ways.
 
     First the intertwining law Tr(c . x) = c (x) Tr(x) as matrices, then an
@@ -183,9 +160,8 @@ def check_forgetful(data: ModuleTensorData | ModuleAction) -> ValidationReport:
     T M(2) = N(2) T alone; the law for every other label follows, and is
     checked once more on the result.
     """
-    action = data.action
     failures: list[str] = []
-    tm = trace_matrix(data).T
+    tm = trace_matrix(action)
     base = action.base
     i = _first_unintertwined(action, tm)
     if i is not None:
@@ -403,7 +379,7 @@ def decomposition(vec: ObjectVec, labels: tuple[str, ...], style: str = "text") 
     raise ValueError(f"unknown style {style!r}")
 
 
-def trace_table(data: ModuleTensorData | ModuleAction, fmt: str = "text") -> str:
+def trace_table(action: ModuleAction, fmt: str = "text") -> str:
     """The trace of every module simple.
 
     text: aligned `label : 1 ⊕ 5` rows
@@ -411,14 +387,13 @@ def trace_table(data: ModuleTensorData | ModuleAction, fmt: str = "text") -> str
     """
     if fmt not in ("text", "tsv"):
         raise ValueError(f"unknown table format {fmt!r}")
-    action = data.action
-    tm = trace_matrix(data)
+    T, labels = trace_matrix(action), action.base.labels
     left = max(len(mlabel) for mlabel in action.msimples)
     out = []
     for j, mlabel in enumerate(action.msimples):
-        vec = ObjectVec(action.base.name, tm.column(j))
+        vec = ObjectVec(action.base.name, tuple(int(v) for v in T[:, j]))
         if fmt == "tsv":
-            out.append(f"{mlabel}\t{decomposition(vec, tm.base_labels, 'machine')}")
+            out.append(f"{mlabel}\t{decomposition(vec, labels, 'machine')}")
         else:
-            out.append(f"{mlabel.ljust(left)} : {decomposition(vec, tm.base_labels)}")
+            out.append(f"{mlabel.ljust(left)} : {decomposition(vec, labels)}")
     return "\n".join(out) + "\n"

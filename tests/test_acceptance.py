@@ -39,8 +39,8 @@ ALL_PACKAGES = TENSOR_PACKAGES + ["e7_su2_16", "a17_su2_16"]
 def column_labels(data, j):
     tm = trace_matrix(data)
     out = []
-    for i, lab in enumerate(tm.base_labels):
-        out.extend([lab] * int(tm.T[i][j]))
+    for i, lab in enumerate(data.base.labels):
+        out.extend([lab] * int(tm[i][j]))
     return out
 
 
@@ -101,7 +101,7 @@ def test_criterion_4_unit_traces_are_the_algebras():
     }
     for name, labels in expected.items():
         data = load_builtin(name)
-        tr = trace_object(data, data.action.basis(data.unit_module))
+        tr = trace_object(data, data.basis(data.unit_module))
         assert object_labels(tr, data.base.labels) == labels
         assert check_trace_unit_algebra(data).ok  # connected
     report(4, "Tr(1) recovers the defining algebra (connected) for D4/E6/E8")
@@ -109,8 +109,8 @@ def test_criterion_4_unit_traces_are_the_algebras():
 
 def test_criterion_5_su2_16_example_traces():
     d10 = load_builtin("d10_su2_16")
-    A = d10.action.basis("1") + d10.action.basis("9")
-    B = d10.action.basis("1") + d10.action.basis("9'")
+    A = d10.basis("1") + d10.basis("9")
+    B = d10.basis("1") + d10.basis("9'")
     labels = d10.base.labels
     assert object_labels(trace_of_word(d10, [A]), labels) == ["1", "9", "17"]
     assert object_labels(trace_of_word(d10, [A, A]), labels) == [
@@ -128,8 +128,8 @@ def test_criterion_6_identifications():
         for n in ("a17_su2_16", "d10_su2_16", "e7_su2_16")
     ]
     d10 = load_builtin("d10_su2_16")
-    A = d10.action.basis("1") + d10.action.basis("9")
-    B = d10.action.basis("1") + d10.action.basis("9'")
+    A = d10.basis("1") + d10.basis("9")
+    B = d10.basis("1") + d10.basis("9'")
     cases = [
         ([A], "e7_su2_16", (1, 0, 0, 0, 0, 0, 0), "E7"),
         ([A, A], "d10_su2_16", (1, 0, 0, 0, 0, 0, 0, 0, 1, 0), "D10"),
@@ -149,8 +149,7 @@ def test_criterion_7_adjunction_everywhere():
     count = 0
     for name in ALL_PACKAGES:
         data = load_builtin(name)
-        action = data.action if hasattr(data, "action") else data
-        if action.unit_module is None:
+        if data.unit_module is None:
             continue  # module-only packages carry no adjoint
         assert check_adjunction(data).ok, name
         count += 1

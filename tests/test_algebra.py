@@ -74,8 +74,8 @@ def test_enumerate_refuses_catalogs_past_the_cap(name, bound, count):
 
 def test_the_three_identifications(su2_16_catalogs):
     d10 = load_builtin("d10_su2_16")
-    A = d10.action.basis("1") + d10.action.basis("9")
-    B = d10.action.basis("1") + d10.action.basis("9'")
+    A = d10.basis("1") + d10.basis("9")
+    B = d10.basis("1") + d10.basis("9'")
     cases = [
         (candidate_from_word(d10, [A], "A"), "e7_su2_16", (1, 0, 0, 0, 0, 0, 0), "E7"),
         (
@@ -106,7 +106,7 @@ def test_the_three_identifications(su2_16_catalogs):
 def test_trace_square_matches_internal_end(su2_16_catalogs):
     # Tr(A (x) A) literally equals End(1 + 9): both reduce to x^T M(c) x
     d10 = load_builtin("d10_su2_16")
-    A = d10.action.basis("1") + d10.action.basis("9")
+    A = d10.basis("1") + d10.basis("9")
     via_trace = trace_of_word(d10, [A, A])
     via_end = internal_end(d10, A)
     assert via_trace == via_end
@@ -116,10 +116,9 @@ def test_every_simple_end_has_its_own_witness():
     # End(x) for a simple module object is found in the package's own catalog
     for name in ("e7_su2_16", "d10_su2_16", "a17_su2_16"):
         action = load_builtin(name)
-        act = action.action if hasattr(action, "action") else action
         catalog = enumerate_internal_ends(action, 2)
-        for j in range(min(3, act.rank)):
-            cand = candidate_from_end(action, act.basis(j), act.msimples[j])
+        for j in range(min(3, action.rank)):
+            cand = candidate_from_end(action, action.basis(j), action.msimples[j])
             assert semisimplicity_witness(cand, [catalog]).passed
 
 
@@ -157,7 +156,7 @@ def test_opposite_iso_exhaustive_on_d4():
     d4 = load_builtin("d4_su2_4")
     for j in range(4):
         for l in range(4):
-            a, b = d4.action.basis(j), d4.action.basis(l)
+            a, b = d4.basis(j), d4.basis(l)
             assert check_opposite_iso(d4, a, b).ok
 
 
@@ -165,19 +164,19 @@ def test_opposite_and_protected_on_random_objects():
     rng = np.random.default_rng(7)
     for name in ("e6_su2_10", "d10_su2_16"):
         data = load_builtin(name)
-        m = data.action.rank
+        m = data.rank
         for _ in range(4):
-            a = data.action.object_vec(rng.integers(0, 3, size=m))
-            b = data.action.object_vec(rng.integers(0, 3, size=m))
+            a = data.object_vec(rng.integers(0, 3, size=m))
+            b = data.object_vec(rng.integers(0, 3, size=m))
             assert check_opposite_iso(data, a, b).ok
             assert check_protected_iso(data, a, b).ok
 
 
 def test_protected_iso_unit_case_reduces():
     d10 = load_builtin("d10_su2_16")
-    A = d10.action.basis("1") + d10.action.basis("9")
-    B = d10.action.basis("1") + d10.action.basis("9'")
-    unit = d10.action.basis(d10.unit_module)
+    A = d10.basis("1") + d10.basis("9")
+    B = d10.basis("1") + d10.basis("9'")
+    unit = d10.basis(d10.unit_module)
     lhs = trace_of_word(d10, [unit, A, module_dual(d10, unit), B])
     assert lhs == trace_of_word(d10, [A, B])
     assert check_protected_iso(d10, A, B, unit).ok
@@ -185,16 +184,16 @@ def test_protected_iso_unit_case_reduces():
 
 def test_protected_iso_with_specific_z():
     d10 = load_builtin("d10_su2_16")
-    A = d10.action.basis("1") + d10.action.basis("9")
-    B = d10.action.basis("1") + d10.action.basis("9'")
-    z = d10.action.basis("2")
+    A = d10.basis("1") + d10.basis("9")
+    B = d10.basis("1") + d10.basis("9'")
+    z = d10.basis("2")
     assert check_protected_iso(d10, A, B, z).ok
 
 
 def test_bound_two_catalog_contains_the_d10_witness():
     d10 = load_builtin("d10_su2_16")
     catalog = enumerate_internal_ends(d10, 2)
-    A = d10.action.basis("1") + d10.action.basis("9")
+    A = d10.basis("1") + d10.basis("9")
     target = trace_of_word(d10, [A, A])
     hits = [e for e in catalog.entries if e.end == target]
     assert len(hits) == 1
@@ -203,7 +202,7 @@ def test_bound_two_catalog_contains_the_d10_witness():
 
 def test_opposite_iso_trivial_square():
     d10 = load_builtin("d10_su2_16")
-    A = d10.action.basis("1") + d10.action.basis("9")
+    A = d10.basis("1") + d10.basis("9")
     assert check_opposite_iso(d10, A, A).ok
 
 
@@ -212,9 +211,9 @@ def test_trace_of_simple_times_dual_is_internal_end():
     # reduce to the same quadratic form in the action matrices
     for name in ("d4_su2_4", "e6_su2_10", "d10_su2_16", "a5_su2_4"):
         data = load_builtin(name)
-        for j in range(data.action.rank):
-            x = data.action.basis(j)
-            xstar = data.action.basis(data.mdual[j])
+        for j in range(data.rank):
+            x = data.basis(j)
+            xstar = data.basis(data.mdual[j])
             assert trace_of_word(data, [x, xstar]) == internal_end(data, x), (
                 name,
                 j,

@@ -3,8 +3,8 @@ import pytest
 
 from tracecat import cli
 from tracecat.cyclo import CycloField
-from tracecat.modules import AmbiguousFusion
-from tracecat.packages import ade_action, data_dir, save_package
+from tracecat.modules import AmbiguousFusion, regular_module
+from tracecat.packages import ade_action, data_dir, load_builtin, save_package
 
 
 def run(capsys, *argv):
@@ -106,6 +106,40 @@ def test_end_identify(capsys):
     )
     assert code == 0
     assert "unique = yes" in out
+
+
+@pytest.mark.parametrize(
+    "once,repeated",
+    [
+        ("e7_su2_16", "e7_su2_16,e7_su2_16"),
+        ("e7_su2_16,a17_su2_16", "e7_su2_16,a17_su2_16,e7_su2_16"),
+    ],
+)
+def test_repeated_identify_names_count_once(capsys, once, repeated):
+    argv = ("end", "--builtin", "e7_su2_16", "--object", "1", "--identify")
+    single = run(capsys, *argv, once)
+    assert single[0] == 0 and "witness = " in single[1]
+    assert run(capsys, *argv, repeated) == single
+
+
+def test_identify_over_another_base_ring_exits_one(capsys, tmp_path):
+    # a regular module over the D4 module ring: its internal Ends are not
+    # objects of SU(2)_3, whatever their multiplicities
+    regular = regular_module(load_builtin("d4_su2_4").module_ring(), name="reg_d4")
+    save_package(regular, tmp_path / "reg_d4.pkg")
+    argv = ("end", "--package", str(tmp_path / "reg_d4.pkg"), "--object", "1")
+    code, out, err = run(capsys, *argv, "--identify", "a4_su2_3")
+    assert (code, out) == (1, "")
+    assert err == "error: a4_su2_3 is over su2_3, not d4_su2_4.module\n"
+
+
+def test_identify_loads_every_name_before_any_catalog(capsys, monkeypatch):
+    # the second name is over another ring: refused before any enumeration
+    monkeypatch.setattr(cli, "enumerate_internal_ends", None)
+    argv = ("end", "--builtin", "d4_su2_4", "--object", "1", "--identify", "d4_su2_4,a4_su2_3")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: a4_su2_3 is over su2_3, not su2_4\n"
 
 
 def test_dims(capsys):
@@ -329,6 +363,12 @@ def test_negative_levels_on_verify_exit_one(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err == "error: level must be nonnegative\n"
+
+
+def test_strand_caps_past_the_maximum_exit_one(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "tl", "--k", "4", "--bound", "7")
+    assert (code, out) == (1, "")
+    assert err == "error: strand cap 7 exceeds the maximum 6\n"
 
 
 IDENTIFY_E7 = ("--object", "1", "--identify", "e7_su2_16")

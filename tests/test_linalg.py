@@ -98,7 +98,7 @@ def fusion_solver(action) -> _FusionSolver:
 
 @pytest.mark.parametrize("name", TENSOR_BUILTINS)
 def test_fusion_solver_transform_and_left_kernel(name):
-    solver = fusion_solver(load_builtin(name).action)
+    solver = fusion_solver(load_builtin(name))
     phi = solver.phi.astype(object)
     R, E, K = solver.reduced, solver.rhs_rows, solver.left_kernel
     assert all(type(v) is int for v in [*R.flat, *E.flat, *K.flat])
@@ -146,10 +146,10 @@ def rational_equations(solver: _FusionSolver) -> list:
 
 def solved(case: str) -> _FusionSolver:
     if case in TENSOR_BUILTINS:
-        action = load_builtin(case).action
+        action = load_builtin(case)
     elif case == "d4_module_ring":
         # 3 and 3' are dual to each other, so this action is not symmetric
-        action = regular_module(load_builtin("d4_su2_4").module_ring()).action
+        action = regular_module(load_builtin("d4_su2_4").module_ring())
     else:
         kind, level, unit = case.split("_")
         action = ade_action(kind, int(level), unit=unit)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import tracemalloc
 
@@ -55,10 +56,10 @@ def einsum_validate_action(action: ModuleAction) -> list[str]:
 
 def einsum_validate_tensor_data(data: ModuleTensorData) -> list[str]:
     """The failures of validate_tensor_data, with the three-operand einsum."""
-    failures = einsum_validate_action(data.action)
+    failures = einsum_validate_action(data)
     failures += einsum_validate_ring(data.module_ring())
-    phi = data.action.phi_matrix()
-    mats = data.action.mats
+    phi = data.phi_matrix()
+    mats = data.mats
     compat = np.einsum("iz,zxw->iwx", phi, data.mN)
     if not np.array_equal(compat, mats):
         i, w, x = np.argwhere(compat != mats)[0]
@@ -153,8 +154,33 @@ def test_regular_module_fusion_is_base_tensor():
         data = regular_module(ring, name=f"a{k + 1}_su2_{k}")
         assert np.array_equal(data.mN, ring.N)
         assert validate_tensor_data(data).ok
-        res = derive_module_fusion(data.action)
+        res = derive_module_fusion(data)
         assert np.array_equal(res.data.mN, ring.N)
+
+
+def test_module_tensor_data_is_a_module_action():
+    data = load_builtin("d4_su2_4")
+    assert issubclass(ModuleTensorData, ModuleAction) and isinstance(data, ModuleAction)
+    assert not hasattr(data, "action")
+    assert data.space == "d4_su2_4.module" == data.basis(0).space
+
+
+def test_module_tensor_data_never_equals_a_plain_action():
+    data = load_builtin("d4_su2_4")
+    fields = (data.name, data.base, data.base_spec, data.msimples, data.mats, data.unit_module)
+    plain = ModuleAction(*fields)
+    assert plain == ModuleAction(*fields)
+    assert data != plain and plain != data
+    assert data == ModuleTensorData(*fields, mN=data.mN)
+    assert data != dataclasses.replace(data, mN=2 * data.mN)
+
+
+def test_derive_takes_the_action_fields_and_never_the_callers_fusion_tensor():
+    data = load_builtin("d4_su2_4")
+    wrong = dataclasses.replace(data, mN=np.zeros_like(data.mN))
+    result = derive_module_fusion(wrong)
+    assert type(result.data) is ModuleTensorData
+    assert result.data == data
 
 
 @pytest.mark.parametrize(
@@ -179,7 +205,7 @@ def test_derive_unique_up_to_symmetry(kind, level, autos):
         # Kirillov-Ostrik: the D_even algebra is A = 1 + (k+1)
         expected = [0] * (level + 1)
         expected[0] = expected[level] = 1
-        unit = result.data.action.basis(result.data.unit_module)
+        unit = result.data.basis(result.data.unit_module)
         assert trace_object(result.data, unit).mult == tuple(expected)
 
 
@@ -293,7 +319,6 @@ def test_validation_matches_einsum_reference_on_builtins():
         if isinstance(data, ModuleTensorData):
             assert validate_tensor_data(data).failures == []
             assert einsum_validate_tensor_data(data) == []
-            data = data.action
         assert validate_action(data).failures == einsum_validate_action(data) == []
 
 
@@ -302,7 +327,7 @@ def test_validate_action_matches_einsum_reference_on_perturbations(entries):
     rng = np.random.default_rng(10 + entries)
     broken = 0
     for k in range(8):
-        action = regular_module(verlinde_su2(k)).action
+        action = regular_module(verlinde_su2(k))
         for _ in range(20):
             mats = perturb(action.mats, rng, entries)
             bad = ModuleAction("bad", action.base, action.base_spec, action.msimples, mats)
@@ -318,14 +343,11 @@ def test_validate_tensor_data_matches_einsum_reference_on_perturbations(entries)
     seen: list[str] = []
     for k in range(8):
         data = regular_module(verlinde_su2(k))  # unit module 0
-        m = data.action.rank
+        m = data.rank
         for _ in range(20):
             # one stack holding the action and the module fusion tensor
-            both = perturb(np.concatenate([data.action.mats, data.mN]), rng, entries)
-            action = ModuleAction(
-                "bad", data.base, data.action.base_spec, data.msimples, both[:m], 0
-            )
-            bad = ModuleTensorData(action, both[m:], data.mdual)
+            both = perturb(np.concatenate([data.mats, data.mN]), rng, entries)
+            bad = dataclasses.replace(data, name="bad", mats=both[:m], mN=both[m:])
             expected = einsum_validate_tensor_data(bad)
             assert validate_tensor_data(bad).failures == expected
             seen += expected
@@ -334,7 +356,7 @@ def test_validate_tensor_data_matches_einsum_reference_on_perturbations(entries)
 
 
 def test_validate_action_memory_is_cubic_in_the_rank():
-    action = regular_module(verlinde_su2(60)).action
+    action = regular_module(verlinde_su2(60))
     tracemalloc.start()
     try:
         assert validate_action(action).ok
@@ -356,7 +378,7 @@ def test_rhs_outside_the_image_of_phi_has_no_fusion():
 def test_derive_and_verify_d_even_beyond_the_builtins(kind, level):
     result = derive_module_fusion(ade_action(kind, level, unit="1"))
     assert result.n_solutions == 1
-    m = result.data.action.rank
+    m = result.data.rank
     fork_swap = tuple(range(m - 2)) + (m - 1, m - 2)
     assert sorted(result.symmetries) == [tuple(range(m)), fork_swap]
     data = result.data
@@ -386,7 +408,7 @@ DERIVED_UNITS = {
 
 @pytest.mark.parametrize("name", BUILTIN_FILES + ("a5_su2_4",))
 def test_derive_verdict_for_every_unit_of_every_builtin(name):
-    action = load_builtin(name).action
+    action = load_builtin(name)
     got = {}
     for unit in action.msimples:
         try:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracecat.modules import ModuleAction, ModuleTensorData, derive_module_fusion
+from tracecat.modules import ModuleAction, ModuleTensorData, derive_module_fusion, regular_module
 from tracecat.packages import (
     BUILTIN_FILES,
     PackageError,
@@ -159,6 +159,18 @@ def test_base_file_reference(tmp_path):
     assert isinstance(data, ModuleTensorData)
     assert data.base.labels == ("1", "2")
     assert data.base.N[1, 1, 1] == 1  # the golden-ratio relation survives
+
+
+def test_regular_module_over_a_package_ring_round_trips(tmp_path):
+    t2 = derive_module_fusion(ade_action("t2", 3, unit="1")).data
+    save_package(t2, tmp_path / "t2_su2_3.pkg")
+    regular = regular_module(t2.module_ring())
+    path = tmp_path / "regular.pkg"
+    save_package(regular, path)
+    assert "\nbase file t2_su2_3\n" in path.read_text(encoding="utf-8")
+    again = load_package(path)
+    assert isinstance(again, ModuleTensorData)
+    assert again == regular
 
 
 def test_data_dir_override(tmp_path, monkeypatch):

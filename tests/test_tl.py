@@ -250,6 +250,7 @@ def test_identity_suite_small_level():
         (-2, 3, "level must be nonnegative"),
         (2, 0, "strand cap must be at least 1"),
         (2, -1, "strand cap must be at least 1"),
+        (2, 7, "strand cap 7 exceeds the maximum 6"),
     ],
 )
 def test_identity_suite_rejects_bad_arguments(k, strand_cap, message):

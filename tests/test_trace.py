@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import tracemalloc
 from fractions import Fraction
@@ -58,8 +59,8 @@ E8_TABLE = [
 def column_labels(data, j):
     tm = trace_matrix(data)
     out = []
-    for i, lab in enumerate(tm.base_labels):
-        out.extend([lab] * int(tm.T[i][j]))
+    for i, lab in enumerate(data.base.labels):
+        out.extend([lab] * int(tm[i][j]))
     return out
 
 
@@ -87,13 +88,13 @@ def test_trace_of_unit_is_the_defining_algebra():
         ("e8_su2_28", ["1", "11", "19", "29"]),
     ]:
         data = load_builtin(name)
-        tr = trace_object(data, data.action.basis(data.unit_module))
+        tr = trace_object(data, data.basis(data.unit_module))
         assert object_labels(tr, data.base.labels) == expected
 
 
 def test_trace_object_zero_and_additive():
     d4 = load_builtin("d4_su2_4")
-    zero = d4.action.object_vec([0, 0, 0, 0])
+    zero = d4.object_vec([0, 0, 0, 0])
     assert trace_object(d4, zero).is_zero()
 
 
@@ -104,7 +105,7 @@ def test_trace_object_zero_and_additive():
 )
 def test_trace_additivity(xs, ys):
     d4 = load_builtin("d4_su2_4")
-    x, y = d4.action.object_vec(xs), d4.action.object_vec(ys)
+    x, y = d4.object_vec(xs), d4.object_vec(ys)
     assert trace_object(d4, x + y) == trace_object(d4, x) + trace_object(d4, y)
 
 
@@ -116,8 +117,8 @@ def test_trace_label_mismatch():
 
 def test_trace_of_word_golden():
     d10 = load_builtin("d10_su2_16")
-    A = d10.action.basis("1") + d10.action.basis("9")
-    B = d10.action.basis("1") + d10.action.basis("9'")
+    A = d10.basis("1") + d10.basis("9")
+    B = d10.basis("1") + d10.basis("9'")
     labels = d10.base.labels
     assert object_labels(trace_of_word(d10, [A]), labels) == ["1", "9", "17"]
     assert object_labels(trace_of_word(d10, [A, A]), labels) == [
@@ -130,9 +131,9 @@ def test_trace_of_word_golden():
 
 def test_trace_of_word_fold_order_immaterial():
     d10 = load_builtin("d10_su2_16")
-    A = d10.action.basis("2") + d10.action.basis("9")
-    B = d10.action.basis("3")
-    C = d10.action.basis("9'") + d10.action.basis("5")
+    A = d10.basis("2") + d10.basis("9")
+    B = d10.basis("3")
+    C = d10.basis("9'") + d10.basis("5")
     left = trace_object(d10, d10.mfuse(d10.mfuse(A, B), C))
     right = trace_object(d10, d10.mfuse(A, d10.mfuse(B, C)))
     assert left == right == trace_of_word(d10, [A, B, C])
@@ -140,7 +141,7 @@ def test_trace_of_word_fold_order_immaterial():
 
 def test_trace_of_singleton_word_is_trace_object():
     d4 = load_builtin("d4_su2_4")
-    unit = d4.action.basis(d4.unit_module)
+    unit = d4.basis(d4.unit_module)
     assert trace_of_word(d4, [unit]) == trace_object(d4, unit)
     assert trace_of_word(d4, []) == trace_object(d4, unit)
 
@@ -156,7 +157,7 @@ def test_internal_end_examples():
     ]
     # End(1) = 1 in a regular module
     a5 = load_builtin("a5_su2_4")
-    unit = a5.action.basis(a5.unit_module)
+    unit = a5.basis(a5.unit_module)
     assert internal_end(a5, unit).mult == (1, 0, 0, 0, 0)
     with pytest.raises(ModuleError):
         internal_end(e7, e7.object_vec([0] * 7))
@@ -184,9 +185,17 @@ def test_check_adjunction_takes_each_trace_column_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_trace_matrix_is_a_read_only_int64_view_of_the_unit_column():
+    data = load_builtin("d10_su2_16")
+    T = trace_matrix(data)
+    assert isinstance(T, np.ndarray) and T.dtype == np.int64
+    assert not T.flags.writeable and np.shares_memory(T, data.mats)
+    assert np.array_equal(T, data.mats[:, :, data.unit_module])
+
+
 def test_regular_trace_matrix_is_identity():
     a5 = load_builtin("a5_su2_4")
-    assert np.array_equal(trace_matrix(a5).T, np.eye(5, dtype=np.int64))
+    assert np.array_equal(trace_matrix(a5), np.eye(5, dtype=np.int64))
 
 
 def test_trace_commutes_with_duality():
@@ -194,15 +203,15 @@ def test_trace_commutes_with_duality():
     d10 = load_builtin("d10_su2_16")
     mdual = d10.mdual
     for j in range(10):
-        tr = trace_object(d10, d10.action.basis(j))
-        tr_dual = trace_object(d10, d10.action.basis(mdual[j]))
+        tr = trace_object(d10, d10.basis(j))
+        tr_dual = trace_object(d10, d10.basis(mdual[j]))
         dualised = d10.base.dual_object(tr)
         assert tr_dual == dualised
 
 
 def test_corrupted_action_detected():
     d4 = load_builtin("d4_su2_4")
-    mats = np.array(d4.action.mats)
+    mats = np.array(d4.mats)
     mats[4][0][0] += 1
     bad = ModuleAction(
         name="bad",
@@ -245,10 +254,10 @@ def test_bumped_trace_matrix_detected():
     # a trace matrix with one entry bumped no longer matches the adjunction data
     d4 = load_builtin("d4_su2_4")
     good = trace_matrix(d4)
-    bumped = np.array(good.T)
+    bumped = np.array(good)
     bumped[0, 1] += 1
-    phi = d4.action.phi_matrix()
-    assert np.array_equal(good.T, phi)
+    phi = d4.phi_matrix()
+    assert np.array_equal(good, phi)
     assert not np.array_equal(bumped, phi)
     witness = np.argwhere(bumped != phi)
     assert witness.tolist() == [[0, 1]]
@@ -269,28 +278,27 @@ def test_trace_checks_take_the_trace_matrix_once(monkeypatch, check):
 def loop_traciator_failures(data: ModuleTensorData) -> list[str]:
     """The failures of check_traciator_iso, one mfuse call per product."""
     failures: list[str] = []
-    action = data.action
-    m = action.rank
+    m = data.rank
     for j in range(m):
-        x = action.basis(j)
+        x = data.basis(j)
         for l in range(m):
-            y = action.basis(l)
+            y = data.basis(l)
             if trace_object(data, data.mfuse(x, y)) != trace_object(data, data.mfuse(y, x)):
                 failures.append(
-                    f"trace symmetry fails at ({action.msimples[j]}, "
-                    f"{action.msimples[l]})"
+                    f"trace symmetry fails at ({data.msimples[j]}, "
+                    f"{data.msimples[l]})"
                 )
     for j in range(m):
         for l in range(m):
             for s in range(m):
-                x, y, z = action.basis(j), action.basis(l), action.basis(s)
+                x, y, z = data.basis(j), data.basis(l), data.basis(s)
                 lhs = trace_object(data, data.mfuse(x, data.mfuse(y, z)))
                 rhs = trace_object(data, data.mfuse(data.mfuse(z, x), y))
                 if lhs != rhs:
                     failures.append(
                         "rotated three-factor trace fails at "
-                        f"({action.msimples[j]}, {action.msimples[l]}, "
-                        f"{action.msimples[s]})"
+                        f"({data.msimples[j]}, {data.msimples[l]}, "
+                        f"{data.msimples[s]})"
                     )
     return failures
 
@@ -314,7 +322,7 @@ def test_traciator_iso_matches_loop_reference_on_perturbations(seed):
     data = load_builtin(TENSOR_BUILTINS[seed % len(TENSOR_BUILTINS)])
     # |.| keeps every multiplicity nonnegative, as mfuse requires
     mN = np.abs(perturb(data.mN, rng, 1 + seed % 3))
-    bad = ModuleTensorData(action=data.action, mN=mN, mdual=data.mdual)
+    bad = dataclasses.replace(data, mN=mN)
     failures = check_traciator_iso(bad).failures
     assert failures == loop_traciator_failures(bad)
     assert failures
@@ -334,8 +342,8 @@ def test_traciator_iso_object_branch_agrees():
     rng = np.random.default_rng(7)
     data = load_builtin("d4_su2_4")
     mN = np.abs(perturb(data.mN, rng, 2))
-    small = ModuleTensorData(action=data.action, mN=mN, mdual=data.mdual)
-    large = ModuleTensorData(action=data.action, mN=mN * 2**40, mdual=data.mdual)
+    small = dataclasses.replace(data, mN=mN)
+    large = dataclasses.replace(data, mN=mN * 2**40)
     assert check_traciator_iso(large).failures == check_traciator_iso(small).failures
     assert check_traciator_iso(small).failures
 
@@ -344,17 +352,17 @@ def loop_splitting_failures(data: ModuleTensorData) -> list[str]:
     """The failures of check_splitting_iso, one fuse and one mfuse call per
     pair (x, c)."""
     failures: list[str] = []
-    action, base = data.action, data.base
-    phi = action.phi_matrix()
-    for j in range(action.rank):
-        x = action.basis(j)
+    base = data.base
+    phi = data.phi_matrix()
+    for j in range(data.rank):
+        x = data.basis(j)
         tx = trace_object(data, x)
         for i in range(base.rank):
-            lhs = trace_object(data, data.mfuse(x, action.object_vec(phi[i])))
+            lhs = trace_object(data, data.mfuse(x, data.object_vec(phi[i])))
             rhs = fuse(base, tx, base.basis(i))
             if lhs != rhs:
                 failures.append(
-                    f"splitting fails at (m={action.msimples[j]}, "
+                    f"splitting fails at (m={data.msimples[j]}, "
                     f"c={base.labels[i]}): {lhs.mult} vs {rhs.mult}"
                 )
     return failures
@@ -377,7 +385,7 @@ def test_splitting_iso_matches_loop_reference_on_perturbations(seed, monkeypatch
     # |.| keeps every multiplicity nonnegative, as mfuse requires
     mN = np.abs(perturb(data.mN, rng, 1 + seed % 3))
     # at 2**40 only the left side scales, so the witnesses are new ones
-    copies = [ModuleTensorData(data.action, mN * scale, data.mdual) for scale in (1, 2**40)]
+    copies = [dataclasses.replace(data, mN=mN * scale) for scale in (1, 2**40)]
     expected = [loop_splitting_failures(bad) for bad in copies]
     assert all(expected)
     assert [check_splitting_iso(bad).failures for bad in copies] == expected
@@ -455,8 +463,8 @@ def test_generator_rebuild_matches_all_label_reference(case, monkeypatch, tmp_pa
         return got
 
     monkeypatch.setattr(trace, "_solve_residual_columns", both)
-    rebuilt = trace._rebuild_trace_matrix(data.action)
-    assert np.array_equal(rebuilt, trace_matrix(data).T)
+    rebuilt = trace._rebuild_trace_matrix(data)
+    assert np.array_equal(rebuilt, trace_matrix(data))
     # regular modules propagate along a path; every other case has a fork
     assert len(solved) == (case not in ("a5_su2_4", "fib_reg"))
     for got, reference in solved:
@@ -467,7 +475,7 @@ def test_generator_rebuild_matches_all_label_reference(case, monkeypatch, tmp_pa
 def test_residual_solve_in_python_ints_matches(case, monkeypatch, tmp_path):
     data = rebuild_case(case, tmp_path)
     monkeypatch.setattr(trace, "_exact_dtype", lambda *sums: object)
-    assert np.array_equal(trace._rebuild_trace_matrix(data.action), trace_matrix(data).T)
+    assert np.array_equal(trace._rebuild_trace_matrix(data), trace_matrix(data))
 
 
 def test_d12_rebuild_stacks_the_generator_rows_only(monkeypatch):
@@ -492,7 +500,7 @@ def test_label_one_generates():
 
 def test_corrupted_d12_action_detected_by_the_rebuild():
     # the generator's relations still solve, but the re-check of label 19 fails
-    action = derived("d12", 20).action
+    action = derived("d12", 20)
     mats = np.array(action.mats)
     mats[18][7][6] += 1
     bad = ModuleAction("bad", action.base, action.base_spec, action.msimples, mats, 0)
@@ -517,7 +525,7 @@ def test_check_forgetful_memory_stays_below_one_kronecker_operator():
 def test_traces_and_ends_are_exact_past_64_bits():
     data = load_builtin("d4_su2_4")
     n = 2**63 - 1
-    one = data.action.basis("1")
+    one = data.basis("1")
     x = ObjectVec(one.space, tuple(n * m for m in one.mult))
     # End(n 1) = n^2 End(1) = n^2 (1 + 5); Tr(n 1) = n Tr(1) = n (1 + 5)
     assert internal_end(data, x).mult == (n * n, 0, 0, 0, n * n)
@@ -528,14 +536,14 @@ def test_traces_and_ends_are_exact_past_64_bits():
 
 def test_internal_ends_of_many_objects_equal_each_one():
     data = load_builtin("e6_su2_10")
-    m = data.action.rank
-    xs = [data.action.basis(j) for j in range(m)]
+    m = data.rank
+    xs = [data.basis(j) for j in range(m)]
     xs.append(ObjectVec(xs[0].space, tuple(range(1, m + 1))))
     xs.append(ObjectVec(xs[0].space, (2**70,) + (1,) * (m - 1)))  # past int64: Python ints
     ends = internal_ends(data, xs)
     for x, end in zip(xs, ends):
         # End(x) = sum_jl v_j v_l M(c_i)[j][l], term by term in Python ints
-        mats = data.action.mats
+        mats = data.mats
         want = [
             sum(x.mult[j] * x.mult[l] * int(mats[i, j, l]) for j in range(m) for l in range(m))
             for i in range(mats.shape[0])

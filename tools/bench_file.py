@@ -15,6 +15,11 @@ the TL workloads by up to 0.7 MB.
   those of each tree's `BENCHMARK.json`, which must agree.  `median_s` is
   the median `wall_s`; the row also keeps every run's end-to-end metrics
   and whether it was correct.
+* The `tier-1` row: the tier-1 test command, `python -m pytest -q
+  --continue-on-collection-errors -p no:cacheprovider` with `PYTHONPATH` at
+  the tree's `src`, run TIER1_RUNS times per tree in the first runs,
+  alternating as above, whatever `--runs` is.  Each run keeps `wall_s` and
+  the passed and failed counts.
 * Layer rows: timed in a fresh interpreter per tree and run, with
   tracecat's caches emptied before each row, as `perfbench` empties them
   before each job: the unprojected curl `_wrap_right(field, n, n, True)`
@@ -45,6 +50,7 @@ import json
 import os
 import platform
 import random
+import re
 import statistics
 import subprocess
 import sys
@@ -57,6 +63,7 @@ TRACIATOR = (2, 3)  # p, q of a '+' traciator at k = 4: the widest pair of the k
 PAIR = (3, 4)  # the labels of that pair's simples
 TRIPLE = (2, 2, 4)  # labels a, b, c of the slowest composition-law compose at k = 4
 CYC_BATCH = 100  # one exact product takes only microseconds, an inverse milliseconds
+TIER1_RUNS = 3  # the whole test suite takes tens of seconds
 
 
 def layer_child() -> None:
@@ -177,6 +184,18 @@ def e2e_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"correct": result["correct"], "failed": result["failed"], **metrics}
 
 
+def tier1_run(tree: Path) -> dict:
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+    cmd += ["-p", "no:cacheprovider"]
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    start = time.perf_counter()
+    # pytest exits 1 when a test fails; the run records how many did
+    summary = run(cmd, tree, env, ok=(0, 1)).splitlines()[-1]
+    wall = time.perf_counter() - start
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (passed|failed)", summary)}
+    return {"wall_s": wall, "passed": counts.get("passed", 0), "failed": counts.get("failed", 0)}
+
+
 def layer_run(tree: Path) -> dict[str, float]:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0")
     out = json.loads(run([sys.executable, __file__, "--layer-child"], tree, env))
@@ -252,7 +271,7 @@ def main(argv=None) -> int:
             "parent": describe(trees["parent"], base_sha),
             "change": describe(trees["change"], change_sha),
         }
-        e2e = {(tag, w): [] for tag in trees for w in workloads}
+        e2e = {(tag, w): [] for tag in trees for w in workloads + ["tier-1"]}
         layers = {tag: [] for tag in trees}
         for i in range(args.runs):
             # alternate which tree goes first, so drift hits both alike
@@ -261,12 +280,16 @@ def main(argv=None) -> int:
                 for tag, tree in order:
                     e2e[tag, workload].append(e2e_run(tree, workload, i, seconds))
                     print(f"# run {i} {tag} {workload}: {e2e[tag, workload][-1]}", flush=True)
+            if i < TIER1_RUNS:
+                for tag, tree in order:
+                    e2e[tag, "tier-1"].append(tier1_run(tree))
+                    print(f"# run {i} {tag} tier-1: {e2e[tag, 'tier-1'][-1]}", flush=True)
             for tag, tree in order:
                 layers[tag].append(layer_run(tree))
                 print(f"# run {i} {tag} layers: {layers[tag][-1]}", flush=True)
     for tag in trees:
         rows = report[tag]["rows"]
-        for workload in workloads:
+        for workload in workloads + ["tier-1"]:
             runs = e2e[tag, workload]
             rows.append(
                 {
