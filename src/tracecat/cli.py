@@ -229,7 +229,7 @@ def cmd_end(args) -> int:
         if args.identify is not None:  # built before printing: an error leaves stdout empty
             # each name once, in first-seen order, every one loaded and over
             # the object's base ring before any catalog is enumerated
-            refs = {name: load_builtin(name) for name in args.identify.split(",")}
+            refs = {name: load_builtin(name) for name in dict.fromkeys(args.identify.split(","))}
             for name, ref in refs.items():
                 if ref.base != data.base:
                     raise CliError(f"{name} is over {ref.base.name}, not {data.base.name}", 1)

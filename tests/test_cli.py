@@ -115,11 +115,15 @@ def test_end_identify(capsys):
         ("e7_su2_16,a17_su2_16", "e7_su2_16,a17_su2_16,e7_su2_16"),
     ],
 )
-def test_repeated_identify_names_count_once(capsys, once, repeated):
+def test_repeated_identify_names_count_once(capsys, monkeypatch, once, repeated):
+    loaded = []
+    monkeypatch.setattr(cli, "load_builtin", lambda name: loaded.append(name) or load_builtin(name))
     argv = ("end", "--builtin", "e7_su2_16", "--object", "1", "--identify")
     single = run(capsys, *argv, once)
     assert single[0] == 0 and "witness = " in single[1]
+    loaded_once, loaded[:] = sorted(loaded), []
     assert run(capsys, *argv, repeated) == single
+    assert sorted(loaded) == loaded_once  # a repeated name is not loaded again
 
 
 def test_identify_over_another_base_ring_exits_one(capsys, tmp_path):

@@ -32,7 +32,7 @@ def test_builtin_kinds():
     assert isinstance(e7, ModuleAction) and not isinstance(e7, ModuleTensorData)
     assert e7.unit_module is None
     a17 = load_builtin("a17_su2_16")
-    assert isinstance(a17, ModuleAction)
+    assert type(a17) is ModuleAction
 
 
 def test_generated_regular_builtins():
@@ -58,7 +58,7 @@ def test_action_only_round_trip(tmp_path):
     path = tmp_path / "e7.pkg"
     save_package(action, path)
     again = load_package(path)
-    assert isinstance(again, ModuleAction)
+    assert type(again) is ModuleAction
     assert np.array_equal(again.mats, action.mats)
 
 
@@ -177,7 +177,7 @@ def test_data_dir_override(tmp_path, monkeypatch):
     save_package(ade_action("d4", 4, unit="1"), tmp_path / "custom.pkg")
     monkeypatch.setenv("TRACECAT_DATA", str(tmp_path))
     action = load_builtin("custom")
-    assert isinstance(action, ModuleAction)
+    assert type(action) is ModuleAction  # a unit but no mfusion blocks
     with pytest.raises(PackageError):
         load_builtin("d10_su2_16")  # not present in the override directory
 

@@ -19,7 +19,10 @@ the TL workloads by up to 0.7 MB.
   --continue-on-collection-errors -p no:cacheprovider` with `PYTHONPATH` at
   the tree's `src`, run TIER1_RUNS times per tree in the first runs,
   alternating as above, whatever `--runs` is.  Each run keeps `wall_s` and
-  the passed and failed counts.
+  the passed, failed and error counts (an error is a test module that did
+  not import, or a fixture that failed).  Each tree runs its own tests, so
+  the row's `wall_s` compares the code of the two trees only when both run
+  the same tests; otherwise it compares two suites.
 * Layer rows: timed in a fresh interpreter per tree and run, with
   tracecat's caches emptied before each row, as `perfbench` empties them
   before each job: the unprojected curl `_wrap_right(field, n, n, True)`
@@ -189,11 +192,13 @@ def tier1_run(tree: Path) -> dict:
     cmd += ["-p", "no:cacheprovider"]
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     start = time.perf_counter()
-    # pytest exits 1 when a test fails; the run records how many did
+    # pytest exits 1 when a test fails or errs; the run records how many did
     summary = run(cmd, tree, env, ok=(0, 1)).splitlines()[-1]
     wall = time.perf_counter() - start
-    counts = {word: int(n) for n, word in re.findall(r"(\d+) (passed|failed)", summary)}
-    return {"wall_s": wall, "passed": counts.get("passed", 0), "failed": counts.get("failed", 0)}
+    counts = dict.fromkeys(("passed", "failed", "errors"), 0)
+    for n, word in re.findall(r"(\d+) (passed|failed|errors?)\b", summary):
+        counts["errors" if word.startswith("error") else word] = int(n)
+    return {"wall_s": wall, **counts}
 
 
 def layer_run(tree: Path) -> dict[str, float]:
