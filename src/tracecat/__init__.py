@@ -20,12 +20,9 @@ from .algebra import (
     candidate_from_end,
     candidate_from_trace_unit,
     candidate_from_word,
-    check_opposite_iso,
-    check_protected_iso,
     check_trace_unit_algebra,
     enumerate_internal_ends,
     identify_algebra,
-    module_dual,
     semisimplicity_witness,
 )
 from .cyclo import Cyc, CycloField, scalar_field

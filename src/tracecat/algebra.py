@@ -2,11 +2,10 @@
 
 Every simple algebra object of the base category arises as the internal
 End of some object in one of its module categories.  This module compiles
-catalogs of internal Ends, matches trace values against them, and checks
-the object-level algebra identities of the trace functor: the opposite
-symmetry Tr(B (x) A) = Tr(A (x) B) and its conjugation-protected variant.
-A catalog match is the semisimplicity witness for a candidate: it
-exhibits a module object whose endomorphism algebra realises it.
+catalogs of internal Ends and matches trace values against them, refusing
+any catalog over another base ring than the candidate.  A catalog match is
+the semisimplicity witness for a candidate: it exhibits a module object
+whose endomorphism algebra realises it.
 """
 
 from __future__ import annotations
@@ -15,14 +14,14 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .fusion import ObjectVec, ValidationReport
+from .fusion import FusionRing, ObjectVec, ValidationReport
 from .modules import (
     ModuleAction,
     ModuleError,
     ModuleTensorData,
     action_automorphisms,
 )
-from .trace import internal_end, internal_ends, trace_object, trace_of_word
+from .trace import decomposition, internal_end, internal_ends, trace_object, trace_of_word
 
 # The most objects one catalog may enumerate: bound b over m simples gives
 # C(m + b, m) - 1 multisets of total multiplicity 1..b.
@@ -35,32 +34,36 @@ class AlgebraCandidate:
 
     object: ObjectVec
     provenance: str
-    unit_index: int = 0
+    base: FusionRing
 
     def __post_init__(self):
-        if self.object.mult[self.unit_index] < 1:
+        if self.object.space != self.base.name or len(self.object.mult) != self.base.rank:
+            raise ModuleError(
+                f"algebra candidate is not an object of {self.base.name}: " + self.provenance
+            )
+        if self.object.mult[self.base.unit] < 1:
             raise ModuleError(
                 "algebra candidate does not contain the unit: " + self.provenance
             )
 
     @property
     def connected(self) -> bool:
-        return self.object.mult[self.unit_index] == 1
+        return self.object.mult[self.base.unit] == 1
 
 
 def candidate_from_trace_unit(data: ModuleTensorData) -> AlgebraCandidate:
     obj = trace_object(data, data.basis(data.unit_module))
-    return AlgebraCandidate(obj, f"trace_of_unit({data.name})", data.base.unit)
+    return AlgebraCandidate(obj, f"trace_of_unit({data.name})", data.base)
 
 
 def candidate_from_word(data: ModuleTensorData, word, label: str) -> AlgebraCandidate:
     obj = trace_of_word(data, word)
-    return AlgebraCandidate(obj, f"trace_of_word({data.name}, {label})", data.base.unit)
+    return AlgebraCandidate(obj, f"trace_of_word({data.name}, {label})", data.base)
 
 
 def candidate_from_end(action: ModuleAction, x: ObjectVec, label: str) -> AlgebraCandidate:
     return AlgebraCandidate(
-        internal_end(action, x), f"internal_end({action.name}, {label})", action.base.unit
+        internal_end(action, x), f"internal_end({action.name}, {label})", action.base
     )
 
 
@@ -72,9 +75,12 @@ class CatalogEntry:
 
 @dataclass(frozen=True)
 class Catalog:
-    package: str
     action: ModuleAction
     entries: tuple[CatalogEntry, ...]
+
+    @property
+    def package(self) -> str:
+        return self.action.name
 
     @property
     def morita_label(self) -> str:
@@ -111,7 +117,7 @@ def enumerate_internal_ends(action: ModuleAction, max_total_mult: int) -> Catalo
             xs.append(action.object_vec(orbit))
     entries = [CatalogEntry(x, end) for x, end in zip(xs, internal_ends(action, xs))]
     entries.sort(key=lambda e: (e.x.total, e.x.mult))
-    return Catalog(action.name, action, tuple(entries))
+    return Catalog(action, tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -122,16 +128,25 @@ class Match:
     x_display: str
 
 
+def _check_base(candidate: AlgebraCandidate, action: ModuleAction) -> None:
+    # an internal End over another ring is not an object of the candidate's
+    # ring, whatever its multiplicities
+    if action.base != candidate.base:
+        raise ModuleError(f"{action.name} is over {action.base.name}, not {candidate.base.name}")
+
+
 def identify_algebra(
     candidate: AlgebraCandidate, catalogs: list[Catalog]
 ) -> list[Match]:
     """All catalog objects whose internal End equals the candidate exactly.
 
     Catalog entries are already one-per-symmetry-orbit, so a single match
-    means the identification is unique up to graph symmetry.
+    means the identification is unique up to graph symmetry.  Raises
+    ModuleError, before matching any entry, if a catalog is over another
+    base ring than the candidate.
     """
-    from .trace import decomposition
-
+    for catalog in catalogs:
+        _check_base(candidate, catalog.action)
     matches = []
     for catalog in catalogs:
         for entry in catalog.entries:
@@ -159,45 +174,6 @@ def check_trace_unit_algebra(
     return ValidationReport(f"unit algebra {data.name}", failures)
 
 
-def check_opposite_iso(
-    data: ModuleTensorData, a: ObjectVec, b: ObjectVec
-) -> ValidationReport:
-    """Object-level shadow of the opposite-algebra isomorphism."""
-    failures = []
-    lhs = trace_of_word(data, [b, a])
-    rhs = trace_of_word(data, [a, b])
-    if lhs != rhs:
-        failures.append(f"Tr(B A) != Tr(A B) in {data.name}")
-    return ValidationReport(f"opposite algebras {data.name}", failures)
-
-
-def module_dual(data: ModuleTensorData, z: ObjectVec) -> ObjectVec:
-    mult = [0] * data.rank
-    for j, v in enumerate(z.mult):
-        mult[data.mdual[j]] += v
-    return data.object_vec(mult)
-
-
-def check_protected_iso(
-    data: ModuleTensorData, a: ObjectVec, b: ObjectVec, z: ObjectVec | None = None
-) -> ValidationReport:
-    """Conjugating one factor by z and its dual does not change the trace.
-
-    With z omitted the check runs over every simple module object.
-    """
-    failures = []
-    zs = [z] if z is not None else [data.basis(j) for j in range(data.rank)]
-    for zv in zs:
-        zstar = module_dual(data, zv)
-        lhs = trace_of_word(data, [zv, a, zstar, b])
-        rhs = trace_of_word(data, [a, zstar, b, zv])
-        if lhs != rhs:
-            failures.append(
-                f"protected trace differs for z with multiplicities {zv.mult}"
-            )
-    return ValidationReport(f"protected algebras {data.name}", failures)
-
-
 @dataclass
 class WitnessReport:
     candidate: AlgebraCandidate
@@ -211,13 +187,8 @@ class WitnessReport:
     def unique(self) -> bool:
         return len(self.matches) == 1
 
-    def line(self, base_labels: tuple[str, ...] | None = None) -> str:
-        from .trace import decomposition
-
-        if base_labels is not None:
-            obj = decomposition(self.candidate.object, base_labels, "machine")
-        else:
-            obj = self.candidate.provenance
+    def line(self) -> str:
+        obj = decomposition(self.candidate.object, self.candidate.base.labels, "machine")
         if not self.matches:
             return f"object = {obj}  witness = none"
         witness = self.matches[0]
@@ -229,7 +200,13 @@ class WitnessReport:
 
 
 def semisimplicity_witness(
-    candidate: AlgebraCandidate, catalogs: list[Catalog]
+    candidate: AlgebraCandidate, actions: list[ModuleAction], bound: int
 ) -> WitnessReport:
-    """PASS iff some module object realises the candidate as an internal End."""
+    """PASS iff some object of total multiplicity <= bound in one of the
+    actions realises the candidate as an internal End.  Every action is
+    checked to be over the candidate's base ring before any catalog is
+    enumerated."""
+    for action in actions:
+        _check_base(candidate, action)
+    catalogs = [enumerate_internal_ends(action, bound) for action in actions]
     return WitnessReport(candidate, identify_algebra(candidate, catalogs))

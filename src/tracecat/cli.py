@@ -33,13 +33,8 @@ import argparse
 import re
 import sys
 
-from .algebra import (
-    AlgebraCandidate,
-    enumerate_internal_ends,
-    semisimplicity_witness,
-)
+from .algebra import candidate_from_end, enumerate_internal_ends, semisimplicity_witness
 from .fusion import (
-    FusionError,
     FusionRing,
     ObjectVec,
     _check_level,
@@ -51,7 +46,6 @@ from .fusion import (
 from .modules import (
     AmbiguousFusion,
     ModuleAction,
-    ModuleError,
     ModuleTensorData,
     NoConsistentFusion,
     derive_module_fusion,
@@ -60,7 +54,6 @@ from .modules import (
 )
 from .packages import (
     BUILTIN_FILES,
-    PackageError,
     data_dir,
     load_builtin,
     load_package,
@@ -73,7 +66,6 @@ from .trace import (
     check_splitting_iso,
     check_traciator_iso,
     decomposition,
-    internal_end,
     trace_object,
     trace_of_word,
     trace_table,
@@ -224,19 +216,13 @@ def cmd_end(args) -> int:
     data = _load(args)
     if args.object is not None:
         obj = parse_object(args.object, data.msimples, data.space)
-        result = internal_end(data, obj)
-        lines = [_emit(result, data.base.labels, args.format)]
+        candidate = candidate_from_end(data, obj, args.object)
+        lines = [_emit(candidate.object, data.base.labels, args.format)]
         if args.identify is not None:  # built before printing: an error leaves stdout empty
-            # each name once, in first-seen order, every one loaded and over
-            # the object's base ring before any catalog is enumerated
-            refs = {name: load_builtin(name) for name in dict.fromkeys(args.identify.split(","))}
-            for name, ref in refs.items():
-                if ref.base != data.base:
-                    raise CliError(f"{name} is over {ref.base.name}, not {data.base.name}", 1)
-            catalogs = [enumerate_internal_ends(ref, args.bound or 3) for ref in refs.values()]
-            cand = AlgebraCandidate(result, f"internal_end({data.name})", data.base.unit)
-            report = semisimplicity_witness(cand, catalogs)
-            lines.append(report.line(data.base.labels))
+            # each name once, in first-seen order, every one loaded before
+            # `semisimplicity_witness` checks the rings and enumerates
+            refs = [load_builtin(name) for name in dict.fromkeys(args.identify.split(","))]
+            lines.append(semisimplicity_witness(candidate, refs, args.bound or 3).line())
         print("\n".join(lines))
         return 0
     bound = args.bound or 1
@@ -435,7 +421,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (PackageError, ModuleError, FusionError) as exc:
+    except ValueError as exc:  # PackageError, ModuleError and FusionError among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

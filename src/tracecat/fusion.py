@@ -141,12 +141,6 @@ class FusionRing:
         """Matrix of left multiplication by simple i: rows = output simples."""
         return self.N[i].T.copy()
 
-    def dual_object(self, x: ObjectVec) -> ObjectVec:
-        mult = [0] * self.rank
-        for i, m in enumerate(x.mult):
-            mult[self.dual[i]] += m
-        return ObjectVec(self.name, tuple(mult))
-
 
 def _check_level(k: int) -> None:
     if k < 0:

@@ -103,12 +103,6 @@ class ModuleAction:
     def object_vec(self, mult) -> ObjectVec:
         return ObjectVec(self.space, tuple(int(v) for v in mult))
 
-    def phi_matrix(self) -> np.ndarray:
-        """Row i = image of the base simple c_i under the free-module map."""
-        if self.unit_module is None:
-            raise ModuleError(f"{self.name} has no distinguished unit module")
-        return self.mats[:, :, self.unit_module].copy()
-
     def module_dims(self) -> np.ndarray:
         """Perron-Frobenius dimensions of the module simples (floating point)."""
         anchor = self.unit_module if self.unit_module is not None else 0
@@ -286,8 +280,8 @@ def validate_tensor_data(data: ModuleTensorData) -> ValidationReport:
     failures = list(validate_action(data).failures)
     ring_report = validate_ring(data.module_ring())
     failures += ring_report.failures
-    phi = data.phi_matrix()
     mats, mN, N = data.mats, data.mN, data.base.N
+    phi = mats[:, :, data.unit_module]  # row i: Phi(c_i), the free-module image
     r, m = phi.shape
     dtype = _exact_dtype((m * m, phi, phi, mN), (r, N, phi))
     phi, mN, N = phi.astype(dtype), mN.astype(dtype), N.astype(dtype)
@@ -410,9 +404,7 @@ def derive_module_fusion(
     if not report.ok:
         raise ModuleError("; ".join(report.failures))
 
-    phi = action.phi_matrix()  # (rank_base, m)
-    solver = _FusionSolver(action, phi, unit)
-    solutions = solver.solve()
+    solutions = _FusionSolver(action).solve()
     if not solutions:
         raise NoConsistentFusion(
             f"no consistent fusion tensor for {action.name} with unit "
@@ -493,12 +485,13 @@ class _FusionSolver:
     up to the bound on the remaining free cells; a branch copies the values.
     """
 
-    def __init__(self, action: ModuleAction, phi: np.ndarray, unit: int):
+    def __init__(self, action: ModuleAction):
         self.action = action
         self.mats = action.mats
         self.m = action.rank
-        self.unit = unit
-        self.phi = phi
+        self.unit = action.unit_module
+        # row i: Phi(c_i), the image of the base simple c_i under the free-module map
+        self.phi = phi = action.mats[:, :, self.unit]
         self.bound = np.empty((self.m,) * 3, dtype=np.int64)
         for z in range(self.m):
             rows = np.nonzero(phi[:, z])[0]

@@ -232,7 +232,7 @@ def parse_package(
                 if path is not None and path.resolve() in _loading:
                     fail(lineno, f"base file {tokens[2]!r} is still loading: the base chain loops")
                 try:
-                    ref = load_builtin_or_file(tokens[2], base_dir, _loading=_loading)
+                    ref = load_builtin(tokens[2], base_dir, _loading=_loading)
                 except FusionError as exc:
                     fail(lineno, str(exc))
                 if not isinstance(ref, ModuleTensorData):
@@ -360,7 +360,9 @@ def _package_path(name: str, base_dir=None) -> Path | None:
     return next((c for c in candidates if c.exists()), None)
 
 
-def load_builtin_or_file(name: str, base_dir=None, *, _loading: frozenset = frozenset()):
+def load_builtin(name: str, base_dir=None, *, _loading: frozenset = frozenset()):
+    """The package file `name` in base_dir or the data directory, else the
+    regular module a<k+1>_su2_<k>."""
     path = _package_path(name, base_dir)
     if path is not None:
         return load_package(path, _loading=_loading)
@@ -368,7 +370,3 @@ def load_builtin_or_file(name: str, base_dir=None, *, _loading: frozenset = froz
     if m and int(m.group(1)) == int(m.group(2)) + 1:
         return regular_module(verlinde_su2(int(m.group(2))), name=name)
     raise PackageError(f"no builtin or package file named {name!r}")
-
-
-def load_builtin(name: str):
-    return load_builtin_or_file(name)

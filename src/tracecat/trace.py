@@ -103,13 +103,13 @@ def check_splitting_iso(data: ModuleTensorData) -> ValidationReport:
     """
     failures: list[str] = []
     base = data.base
-    phi, N = data.phi_matrix(), base.N
-    T = trace_matrix(data)
-    r, m = phi.shape
-    dtype = _exact_dtype((m * m, phi, data.mN, T), (r, T, N))
-    phi, mN, T, N = (a.astype(dtype) for a in (phi, data.mN, T, N))
+    # T is also the free-module map: row i of it is Phi(c_i)
+    T, N = trace_matrix(data), base.N
+    r, m = T.shape
+    dtype = _exact_dtype((m * m, T, data.mN, T), (r, T, N))
+    mN, T, N = (a.astype(dtype) for a in (data.mN, T, N))
     # [x, c, i]: multiplicity of c_i in Tr(x (x) Phi(c)) and in Tr(x) (x) c
-    lhs = (phi @ mN) @ T.T
+    lhs = (T @ mN) @ T.T
     rhs = (T.T @ N.reshape(r, r * r)).reshape(m, r, r)
     for j, i in np.argwhere((lhs != rhs).any(axis=2)):
         failures.append(

@@ -9,24 +9,26 @@ from tracecat.algebra import (
     candidate_from_end,
     candidate_from_trace_unit,
     candidate_from_word,
-    check_opposite_iso,
-    check_protected_iso,
     check_trace_unit_algebra,
     enumerate_internal_ends,
     identify_algebra,
-    module_dual,
     semisimplicity_witness,
 )
-from tracecat.fusion import ObjectVec
-from tracecat.modules import ModuleError
+from tracecat import algebra
+from tracecat.fusion import ObjectVec, verlinde_su2
+from tracecat.modules import ModuleError, regular_module
 from tracecat.packages import load_builtin
 from tracecat.trace import internal_end, trace_of_word
 
 
 @pytest.fixture(scope="module")
-def su2_16_catalogs():
-    packages = [load_builtin(n) for n in ("a17_su2_16", "d10_su2_16", "e7_su2_16")]
-    return [enumerate_internal_ends(p, 3) for p in packages]
+def su2_16_actions():
+    return [load_builtin(n) for n in ("a17_su2_16", "d10_su2_16", "e7_su2_16")]
+
+
+@pytest.fixture(scope="module")
+def su2_16_catalogs(su2_16_actions):
+    return [enumerate_internal_ends(p, 3) for p in su2_16_actions]
 
 
 def test_enumerate_bound_one_lists_vertices():
@@ -72,7 +74,7 @@ def test_enumerate_refuses_catalogs_past_the_cap(name, bound, count):
         enumerate_internal_ends(load_builtin(name), bound)
 
 
-def test_the_three_identifications(su2_16_catalogs):
+def test_the_three_identifications(su2_16_actions, su2_16_catalogs):
     d10 = load_builtin("d10_su2_16")
     A = d10.basis("1") + d10.basis("9")
     B = d10.basis("1") + d10.basis("9'")
@@ -97,9 +99,9 @@ def test_the_three_identifications(su2_16_catalogs):
         assert matches[0].package == package
         assert matches[0].x.mult == xmult
         assert matches[0].morita_label == morita
-        witness = semisimplicity_witness(candidate, su2_16_catalogs)
+        witness = semisimplicity_witness(candidate, su2_16_actions, 3)
         assert witness.passed and witness.unique
-        line = witness.line(d10.base.labels)
+        line = witness.line()
         assert "unique = yes" in line and package in line
 
 
@@ -116,24 +118,54 @@ def test_every_simple_end_has_its_own_witness():
     # End(x) for a simple module object is found in the package's own catalog
     for name in ("e7_su2_16", "d10_su2_16", "a17_su2_16"):
         action = load_builtin(name)
-        catalog = enumerate_internal_ends(action, 2)
         for j in range(min(3, action.rank)):
             cand = candidate_from_end(action, action.basis(j), action.msimples[j])
-            assert semisimplicity_witness(cand, [catalog]).passed
+            assert semisimplicity_witness(cand, [action], 2).passed
 
 
-def test_no_witness_for_non_algebra(su2_16_catalogs):
+def test_no_witness_for_non_algebra(su2_16_actions):
     fake = AlgebraCandidate(
-        ObjectVec("su2_16", (1, 1) + (0,) * 15), "synthetic 1+2", 0
+        ObjectVec("su2_16", (1, 1) + (0,) * 15), "synthetic 1+2", verlinde_su2(16)
     )
-    report = semisimplicity_witness(fake, su2_16_catalogs)
+    report = semisimplicity_witness(fake, su2_16_actions, 3)
     assert not report.passed
-    assert "witness = none" in report.line()
+    assert report.line() == "object = 1^1 + 2^1  witness = none"
 
 
 def test_candidate_must_contain_unit():
     with pytest.raises(ModuleError):
-        AlgebraCandidate(ObjectVec("su2_16", (0, 1) + (0,) * 15), "no unit", 0)
+        AlgebraCandidate(ObjectVec("su2_16", (0, 1) + (0,) * 15), "no unit", verlinde_su2(16))
+
+
+@pytest.mark.parametrize(
+    "obj", [ObjectVec("su2_16", ()), ObjectVec("su2_16", (1,) * 18), ObjectVec("su2_4", (1,) * 17)]
+)
+def test_candidate_must_be_an_object_of_its_base_ring(obj):
+    # an empty tuple once raised IndexError reading the unit multiplicity
+    with pytest.raises(ModuleError, match="algebra candidate is not an object of su2_16"):
+        AlgebraCandidate(obj, "p", verlinde_su2(16))
+
+
+@pytest.fixture(scope="module")
+def reg_d4_candidate():
+    # a regular module over the D4 module ring: its internal Ends are not
+    # objects of SU(2)_3, whatever their multiplicities
+    regular = regular_module(load_builtin("d4_su2_4").module_ring(), name="reg_d4")
+    return candidate_from_end(regular, regular.basis(0), "1")
+
+
+def test_identify_refuses_a_catalog_over_another_ring(reg_d4_candidate):
+    catalog = enumerate_internal_ends(load_builtin("a4_su2_3"), 3)
+    with pytest.raises(ModuleError) as excinfo:
+        identify_algebra(reg_d4_candidate, [catalog])
+    assert str(excinfo.value) == "a4_su2_3 is over su2_3, not d4_su2_4.module"
+
+
+def test_witness_refuses_another_ring_before_any_catalog(reg_d4_candidate, monkeypatch):
+    monkeypatch.setattr(algebra, "enumerate_internal_ends", None)
+    with pytest.raises(ModuleError) as excinfo:
+        semisimplicity_witness(reg_d4_candidate, [load_builtin("a4_su2_3")], 3)
+    assert str(excinfo.value) == "a4_su2_3 is over su2_3, not d4_su2_4.module"
 
 
 def test_connectedness_of_unit_traces():
@@ -157,7 +189,7 @@ def test_opposite_iso_exhaustive_on_d4():
     for j in range(4):
         for l in range(4):
             a, b = d4.basis(j), d4.basis(l)
-            assert check_opposite_iso(d4, a, b).ok
+            assert trace_of_word(d4, [b, a]) == trace_of_word(d4, [a, b])
 
 
 def test_opposite_and_protected_on_random_objects():
@@ -168,8 +200,12 @@ def test_opposite_and_protected_on_random_objects():
         for _ in range(4):
             a = data.object_vec(rng.integers(0, 3, size=m))
             b = data.object_vec(rng.integers(0, 3, size=m))
-            assert check_opposite_iso(data, a, b).ok
-            assert check_protected_iso(data, a, b).ok
+            assert trace_of_word(data, [b, a]) == trace_of_word(data, [a, b])
+            # conjugating one factor by each simple z and its dual
+            for j in range(m):
+                z, zstar = data.basis(j), data.basis(data.mdual[j])
+                lhs = trace_of_word(data, [z, a, zstar, b])
+                assert lhs == trace_of_word(data, [a, zstar, b, z])
 
 
 def test_protected_iso_unit_case_reduces():
@@ -177,17 +213,18 @@ def test_protected_iso_unit_case_reduces():
     A = d10.basis("1") + d10.basis("9")
     B = d10.basis("1") + d10.basis("9'")
     unit = d10.basis(d10.unit_module)
-    lhs = trace_of_word(d10, [unit, A, module_dual(d10, unit), B])
+    unit_dual = d10.basis(d10.mdual[d10.unit_module])
+    lhs = trace_of_word(d10, [unit, A, unit_dual, B])
     assert lhs == trace_of_word(d10, [A, B])
-    assert check_protected_iso(d10, A, B, unit).ok
+    assert lhs == trace_of_word(d10, [A, unit_dual, B, unit])
 
 
 def test_protected_iso_with_specific_z():
     d10 = load_builtin("d10_su2_16")
     A = d10.basis("1") + d10.basis("9")
     B = d10.basis("1") + d10.basis("9'")
-    z = d10.basis("2")
-    assert check_protected_iso(d10, A, B, z).ok
+    z, zstar = d10.basis("2"), d10.basis(d10.mdual[d10.index("2")])
+    assert trace_of_word(d10, [z, A, zstar, B]) == trace_of_word(d10, [A, zstar, B, z])
 
 
 def test_bound_two_catalog_contains_the_d10_witness():
@@ -198,12 +235,6 @@ def test_bound_two_catalog_contains_the_d10_witness():
     hits = [e for e in catalog.entries if e.end == target]
     assert len(hits) == 1
     assert hits[0].x.mult == (1, 0, 0, 0, 0, 0, 0, 0, 1, 0)
-
-
-def test_opposite_iso_trivial_square():
-    d10 = load_builtin("d10_su2_16")
-    A = d10.basis("1") + d10.basis("9")
-    assert check_opposite_iso(d10, A, A).ok
 
 
 def test_trace_of_simple_times_dual_is_internal_end():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tracecat import cli
+from tracecat import algebra, cli
 from tracecat.cyclo import CycloField
 from tracecat.modules import AmbiguousFusion, regular_module
 from tracecat.packages import ade_action, data_dir, load_builtin, save_package
@@ -139,11 +139,19 @@ def test_identify_over_another_base_ring_exits_one(capsys, tmp_path):
 
 def test_identify_loads_every_name_before_any_catalog(capsys, monkeypatch):
     # the second name is over another ring: refused before any enumeration
-    monkeypatch.setattr(cli, "enumerate_internal_ends", None)
+    monkeypatch.setattr(algebra, "enumerate_internal_ends", None)
     argv = ("end", "--builtin", "d4_su2_4", "--object", "1", "--identify", "d4_su2_4,a4_su2_3")
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == "error: a4_su2_3 is over su2_3, not su2_4\n"
+
+
+def test_a_value_error_from_the_library_is_one_error_line(capsys, monkeypatch):
+    def boom(action, max_total_mult):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "enumerate_internal_ends", boom)
+    assert run(capsys, "end", "--builtin", "d4_su2_4") == (1, "", "error: boom\n")
 
 
 def test_dims(capsys):

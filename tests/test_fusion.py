@@ -165,7 +165,7 @@ def test_dual_pairing_counts_unit(xs):
     # x (x) x* contains the unit with multiplicity sum(x_i^2)
     ring = verlinde_su2(4)
     x = ObjectVec(ring.name, tuple(xs))
-    xd = ring.dual_object(x)
+    xd = ObjectVec(ring.name, tuple(xs[i] for i in ring.dual))
     pairing = fuse(ring, x, xd)
     assert pairing.mult[ring.unit] == sum(v * v for v in xs)
 

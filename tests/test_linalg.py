@@ -93,7 +93,7 @@ def fraction_reduction(phi) -> tuple[list[int], list[list[Fraction]], list[list[
 
 
 def fusion_solver(action) -> _FusionSolver:
-    return _FusionSolver(action, action.phi_matrix(), action.unit_module)
+    return _FusionSolver(action)
 
 
 @pytest.mark.parametrize("name", TENSOR_BUILTINS)

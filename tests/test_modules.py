@@ -58,7 +58,7 @@ def einsum_validate_tensor_data(data: ModuleTensorData) -> list[str]:
     """The failures of validate_tensor_data, with the three-operand einsum."""
     failures = einsum_validate_action(data)
     failures += einsum_validate_ring(data.module_ring())
-    phi = data.phi_matrix()
+    phi = data.mats[:, :, data.unit_module]
     mats = data.mats
     compat = np.einsum("iz,zxw->iwx", phi, data.mN)
     if not np.array_equal(compat, mats):
@@ -368,7 +368,7 @@ def test_validate_action_memory_is_cubic_in_the_rank():
 
 def test_rhs_outside_the_image_of_phi_has_no_fusion():
     d5 = ade_action("d5", 6, unit="1")
-    assert _FusionSolver(d5, d5.phi_matrix(), 0)._reduce_rhs() is None  # some K b != 0
+    assert _FusionSolver(d5)._reduce_rhs() is None  # some K b != 0
     with pytest.raises(NoConsistentFusion) as excinfo:
         derive_module_fusion(d5)
     assert str(excinfo.value) == "no consistent fusion tensor for d5_su2_6 with unit 1"
