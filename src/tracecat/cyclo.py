@@ -219,7 +219,7 @@ class Cyc:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Cyc):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.field is other.field and self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
         return hash((self.num, self.den))

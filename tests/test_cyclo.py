@@ -141,3 +141,13 @@ def test_inverse_of_seeded_elements(field):
         assert abs(complex(inv) * complex(x) - 1) < 1e-9
     with pytest.raises(ZeroDivisionError):
         field.zero.inverse()
+
+
+def test_equality_is_field_aware():
+    # Q(zeta_16) and Q(zeta_24) both have degree 8: equal vectors, unequal elements
+    a, b = CycloField.for_level(2), CycloField.for_level(4)
+    assert a.degree == b.degree
+    assert a.zeta(1).num == b.zeta(1).num
+    assert a.zeta(1) != b.zeta(1)
+    assert a.one != b.one
+    assert a.zeta(1) == a.zeta(1 + a.conductor)

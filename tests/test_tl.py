@@ -2,10 +2,11 @@ import random
 from collections import Counter
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from tracecat import tl
-from tracecat.cyclo import scalar_field
+from tracecat.cyclo import Cyc, scalar_field
 from tracecat.tl import (
     PlanarDiagram,
     TLMorphism,
@@ -664,3 +665,98 @@ def test_wraps_projected_once_equal_two_sided_ones(k, width):
                 middle = _curl_middle(field, x.strands, positive, side, tl._wrap_right)
                 want = _two_sided(x, middle, x)
                 _same_terms(twist_morphism(x, positive, side), want)
+
+
+# -- the block compose against the term-by-term reference ------------------------
+
+
+def _reference_compose(f, g):
+    """f after g summed one term pair at a time in `Cyc` arithmetic."""
+    field, terms = f.field, {}
+    for dg, cg in g.terms.items():
+        for df, cf in f.terms.items():
+            loops, diag = tl._glue(df, dg)
+            coef = cf * cg
+            if loops:
+                coef = coef * tl._delta_power(field, loops)
+            tl._add_term(terms, diag, coef)
+    return TLMorphism(field, g.n_bottom, f.n_top, terms)
+
+
+@pytest.mark.parametrize("k", [2, 4, 10, 16, 28])
+def test_block_compose_equals_the_reference_on_the_default_suite(k, monkeypatch):
+    calls = []
+    block = tl.compose
+
+    def checked(f, g):
+        got = block(f, g)
+        _same_terms(got, _reference_compose(f, g))
+        calls.append(len(got.terms))
+        return got
+
+    monkeypatch.setattr(tl, "compose", checked)
+    assert identity_suite(k).ok
+    assert len(calls) > 200 and sum(calls) > 0
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 4, 10, 16, 28])
+def test_multiplication_matrix_from_zeta_powers(k):
+    # y * x in the power basis is y.num @ sum_m x_m Z[m : m + d]
+    field = scalar_field(k)
+    Z, d = tl._zeta_powers(field), field.degree
+    assert Z.shape == (2 * d - 1, d)
+    rng = random.Random(k)
+    for _ in range(5):
+        x, y = (Cyc(field, tuple(rng.randint(-9, 9) for _ in range(d)), 1) for _ in "xy")
+        M = sum(c * Z[m : m + d] for m, c in enumerate(x.num))
+        assert Cyc(field, tuple((np.array(y.num) @ M).tolist()), 1) == x * y
+
+
+def test_block_compose_is_exact_past_float64():
+    # coefficients times 2**60 put the bound past 2**53: the products run in
+    # Python ints, and the result still equals the reference
+    x, y = simple_object(3, F), simple_object(2, F)
+    big = F.from_int(2**60)
+    f = traciator_self_action(x, y, "+").scaled(big)
+    g = tensor(x.proj, y.proj).scaled(big)
+    got = compose(f, g)
+    _same_terms(got, _reference_compose(f, g))
+    assert max(abs(c) for coef in got.terms.values() for c in coef.num) > 2**53
+    assert got == compose(traciator_self_action(x, y, "+"), tensor(x.proj, y.proj)).scaled(
+        big * big
+    )
+
+
+def test_compose_with_an_empty_operand():
+    zero = TLMorphism(F, 2, 2)
+    for f, g in ((zero, braiding(F)), (braiding(F), zero), (zero, zero)):
+        got = compose(f, g)
+        assert got.is_zero() and (got.n_bottom, got.n_top) == (2, 2)
+        _same_terms(got, _reference_compose(f, g))
+    assert compose(cap(F), TLMorphism(F, 0, 2)).is_zero()
+
+
+def test_compose_cancelling_to_zero():
+    # every cap kills a Jones-Wenzl projector: each output row sums to zero
+    p = jones_wenzl(3, F).proj
+    for i in range(2):
+        capper = embed(cap(F), i, 1 - i)
+        assert len(capper.terms) * len(p.terms) > 1
+        got = compose(capper, p)
+        assert got.is_zero() and (got.n_bottom, got.n_top) == (3, 1)
+        _same_terms(got, _reference_compose(capper, p))
+
+
+def test_morphism_equality_is_field_aware():
+    # levels 2 and 4 have fields of one degree, 8
+    f2, f4 = scalar_field(2), scalar_field(4)
+    assert identity(f2, 2) != identity(f4, 2)
+    assert TLMorphism(f2, 1, 1) != TLMorphism(f4, 1, 1)
+    assert identity(f2, 2) == identity(f2, 2)
+
+
+def test_suites_of_fields_of_one_degree_in_one_process():
+    _clear_tl_caches()
+    assert identity_suite(2).ok
+    assert identity_suite(4).ok
+    assert identity_suite(2).ok

@@ -33,7 +33,9 @@ the TL workloads by up to 0.7 MB.
   projection); `jones_wenzl(5)`; one `compose` of the two '+' traciators
   that the `traciator_composition` check composes at the labels TRIPLE
   (strand total 5, the widest), both built untimed; all at k = 4;
-  `identity_suite(k)` for k in {2, 4, 10, 16, 28}; all exact.  At k in {4, 16, 28}, `Cyc` `*` over
+  `identity_suite(k)` for k in {2, 4, 10, 16, 28}, and `identity_suite(16,
+  strand_cap=6)` (row `tl.identity_suite.k16.cap6`, above the default cap
+  4 at that level); all exact.  At k in {4, 16, 28}, `Cyc` `*` over
   every ordered pair and `inverse` of each of CYC_BATCH seeded elements
   [a]_q zeta^p + c, built untimed.  Then `derive_module_fusion` of the D12/k=20
   and D22/k=40 actions (each built untimed first), `check_forgetful` on
@@ -132,6 +134,7 @@ def layer_child() -> None:
     for k in (2, 4, 10, 16, 28):
         # the suite builds its own field, as a perfbench job does
         rows[f"tl.identity_suite.k{k}"] = timed(lambda field, k: tl.identity_suite(k), k)
+    rows["tl.identity_suite.k16.cap6"] = timed(lambda field: tl.identity_suite(16, strand_cap=6))
 
     for k in (4, 16, 28):
         field = scalar_field(k)
