@@ -14,7 +14,6 @@ The package has three layers:
 from .algebra import (
     AlgebraCandidate,
     Catalog,
-    CatalogEntry,
     Match,
     WitnessReport,
     candidate_from_end,

@@ -10,9 +10,10 @@ whose endomorphism algebra realises it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .fusion import FusionRing, ObjectVec, ValidationReport
 from .modules import (
@@ -21,7 +22,7 @@ from .modules import (
     ModuleTensorData,
     action_automorphisms,
 )
-from .trace import decomposition, internal_end, internal_ends, trace_object, trace_of_word
+from .trace import _end_rows, decomposition, internal_end, trace_object, trace_of_word
 
 # The most objects one catalog may enumerate: bound b over m simples gives
 # C(m + b, m) - 1 multisets of total multiplicity 1..b.
@@ -67,16 +68,16 @@ def candidate_from_end(action: ModuleAction, x: ObjectVec, label: str) -> Algebr
     )
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    x: ObjectVec
-    end: ObjectVec
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Catalog:
+    """Module objects, one per symmetry orbit, and their internal Ends:
+    row e of `xs` holds the multiplicities of entry e over the module
+    simples, row e of `ends` those of its internal End over the base
+    simples.  Rows are in (total, multiplicities) order."""
+
     action: ModuleAction
-    entries: tuple[CatalogEntry, ...]
+    xs: np.ndarray
+    ends: np.ndarray
 
     @property
     def package(self) -> str:
@@ -85,6 +86,23 @@ class Catalog:
     @property
     def morita_label(self) -> str:
         return self.package.split("_")[0].upper()
+
+
+def _multisets(m: int, bound: int, dtype) -> np.ndarray:
+    """[multiset, j]: every multiset of 1..bound simples out of m, as counts.
+
+    A multiset of total t is one of total t - 1 plus a simple no lower than
+    its highest, so each is built once, in O(m) array steps per total."""
+    level, top = np.zeros((1, m), dtype), np.zeros(1, np.intp)
+    levels = []
+    for _ in range(bound):
+        grown = [level[top <= j] for j in range(m)]  # copies
+        for j, rows in enumerate(grown):
+            rows[:, j] += 1
+        level = np.concatenate(grown)
+        top = np.repeat(np.arange(m), [len(rows) for rows in grown])
+        levels.append(level)
+    return np.concatenate(levels)
 
 
 def enumerate_internal_ends(action: ModuleAction, max_total_mult: int) -> Catalog:
@@ -99,25 +117,22 @@ def enumerate_internal_ends(action: ModuleAction, max_total_mult: int) -> Catalo
             f"bound {max_total_mult} would enumerate {count} objects of {action.name}, "
             f"more than the {MAX_CATALOG} a catalog may hold"
         )
-    # inverse[i] = p.index(i): the image of mult under p is mult read through it
-    inverses = [sorted(range(m), key=p.__getitem__) for p in action_automorphisms(action)]
-    seen: set[tuple[int, ...]] = set()
-    xs: list[ObjectVec] = []
-    for total in range(1, max_total_mult + 1):
-        for combo in itertools.combinations_with_replacement(range(m), total):
-            mult = [0] * m
-            for j in combo:
-                mult[j] += 1
-            # orbit representative: lexicographically greatest image, so path
-            # vertices are preferred over primed fork labels
-            orbit = max(tuple(mult[j] for j in inverse) for inverse in inverses)
-            if orbit in seen:
-                continue
-            seen.add(orbit)
-            xs.append(action.object_vec(orbit))
-    entries = [CatalogEntry(x, end) for x, end in zip(xs, internal_ends(action, xs))]
-    entries.sort(key=lambda e: (e.x.total, e.x.mult))
-    return Catalog(action, tuple(entries))
+    X = _multisets(m, max_total_mult, np.min_scalar_type(max_total_mult))
+    # orbit representative: lexicographically greatest image, so path
+    # vertices are preferred over primed fork labels; the image of a row
+    # under p reads it through the inverse permutation argsort(p)
+    rep = X.copy()
+    rows = np.arange(len(X))
+    for p in action_automorphisms(action):
+        if p == tuple(range(m)):
+            continue
+        image = X[:, np.argsort(p)]
+        first = (image != rep).argmax(axis=1)  # 0 where they agree, and then not greater
+        greater = image[rows, first] > rep[rows, first]
+        rep[greater] = image[greater]
+    xs = np.unique(rep, axis=0)  # rows in lexicographic order
+    xs = xs[np.argsort(xs.sum(axis=1, dtype=np.int64), kind="stable")]
+    return Catalog(action, xs, _end_rows(action, xs))
 
 
 @dataclass(frozen=True)
@@ -147,14 +162,13 @@ def identify_algebra(
     """
     for catalog in catalogs:
         _check_base(candidate, catalog.action)
+    target = np.asarray(candidate.object.mult)
     matches = []
     for catalog in catalogs:
-        for entry in catalog.entries:
-            if entry.end.mult == candidate.object.mult:
-                display = decomposition(entry.x, catalog.action.msimples, "machine")
-                matches.append(
-                    Match(catalog.package, catalog.morita_label, entry.x, display)
-                )
+        for e in np.flatnonzero((catalog.ends == target).all(axis=1)):
+            x = catalog.action.object_vec(catalog.xs[e])
+            display = decomposition(x, catalog.action.msimples, "machine")
+            matches.append(Match(catalog.package, catalog.morita_label, x, display))
     return matches
 
 

@@ -184,10 +184,11 @@ def _load(args) -> ModuleAction:
 _TEXT_SUMMANDS = 2**20
 
 
-def _emit(vec: ObjectVec, labels, fmt: str) -> str:
-    if fmt != "tsv" and vec.total > _TEXT_SUMMANDS:
-        raise CliError(f"{vec.total} summands are too many to print as text; use --format tsv", 2)
-    return decomposition(vec, labels, "machine" if fmt == "tsv" else "text")
+def _emit(mult, labels, fmt: str) -> str:
+    """Multiplicities over labels in the text or tsv format."""
+    if fmt != "tsv" and sum(mult) > _TEXT_SUMMANDS:
+        raise CliError(f"{sum(mult)} summands are too many to print as text; use --format tsv", 2)
+    return decomposition(mult, labels, "machine" if fmt == "tsv" else "text")
 
 
 # -- verbs ------------------------------------------------------------------------
@@ -204,7 +205,7 @@ def cmd_trace(args) -> int:
     else:
         sys.stdout.write(trace_table(data, fmt=args.format))
         return 0
-    print(_emit(result, data.base.labels, args.format))
+    print(_emit(result.mult, data.base.labels, args.format))
     return 0
 
 
@@ -217,21 +218,23 @@ def cmd_end(args) -> int:
     if args.object is not None:
         obj = parse_object(args.object, data.msimples, data.space)
         candidate = candidate_from_end(data, obj, args.object)
-        lines = [_emit(candidate.object, data.base.labels, args.format)]
+        lines = [_emit(candidate.object.mult, data.base.labels, args.format)]
         if args.identify is not None:  # built before printing: an error leaves stdout empty
             # each name once, in first-seen order, every one loaded before
-            # `semisimplicity_witness` checks the rings and enumerates
-            refs = [load_builtin(name) for name in dict.fromkeys(args.identify.split(","))]
+            # `semisimplicity_witness` checks the rings and enumerates; the
+            # --builtin package is reused, not parsed again
+            refs = [
+                data if name == args.builtin else load_builtin(name)
+                for name in dict.fromkeys(args.identify.split(","))
+            ]
             lines.append(semisimplicity_witness(candidate, refs, args.bound or 3).line())
         print("\n".join(lines))
         return 0
-    bound = args.bound or 1
-    catalog = enumerate_internal_ends(data, bound)
-    for entry in catalog.entries:
-        lhs = decomposition(entry.x, data.msimples, "machine")
-        rhs = _emit(entry.end, data.base.labels, args.format)
-        sep = "\t" if args.format == "tsv" else " : "
-        print(f"{lhs}{sep}{rhs}")
+    catalog = enumerate_internal_ends(data, args.bound or 1)
+    sep = "\t" if args.format == "tsv" else " : "
+    for x, end in zip(catalog.xs.tolist(), catalog.ends.tolist()):
+        lhs = decomposition(x, data.msimples, "machine")
+        print(f"{lhs}{sep}{_emit(end, data.base.labels, args.format)}")
     return 0
 
 
@@ -252,7 +255,7 @@ def cmd_fuse(args) -> int:
     acc = factors[0]
     for factor in factors[1:]:
         acc = fuse(ring, acc, factor)
-    print(_emit(acc, ring.labels, args.format))
+    print(_emit(acc.mult, ring.labels, args.format))
     return 0
 
 

@@ -310,22 +310,30 @@ def validate_tensor_data(data: ModuleTensorData) -> ValidationReport:
 
 
 def action_automorphisms(action: ModuleAction) -> list[tuple[int, ...]]:
-    """Permutations of module simples commuting with every action matrix.
+    """Permutations of module simples commuting with every action matrix,
+    in lexicographic order.
 
     When a unit module is distinguished it must be fixed: these are the
     label symmetries by which fusion-tensor solutions are quotiented.
     """
     m = action.rank
     mats = action.mats
-
-    def invariant(v: int):
-        rows = tuple(
-            (int(mats[i, v, v]), tuple(sorted(mats[i, v, :])), tuple(sorted(mats[i, :, v])))
-            for i in range(mats.shape[0])
-        )
-        return rows
-
-    inv = [invariant(v) for v in range(m)]
+    # v may go to w only if their keys agree: the diagonal entry, the sorted
+    # row and the sorted column of v in every matrix
+    keys = np.concatenate(
+        [
+            mats[:, range(m), range(m)].T,
+            np.sort(mats, axis=2).transpose(1, 0, 2).reshape(m, -1),
+            np.sort(mats, axis=1).transpose(2, 0, 1).reshape(m, -1),
+        ],
+        axis=1,
+    )
+    first: dict[bytes, int] = {}
+    kind = np.array([first.setdefault(key.tobytes(), v) for v, key in enumerate(keys)])
+    allowed = kind[:, None] == kind[None, :]
+    if action.unit_module is not None:
+        allowed[action.unit_module, :] = False
+        allowed[action.unit_module, action.unit_module] = True
     perms: list[tuple[int, ...]] = []
 
     def extend(pi: list[int], used: set[int]) -> None:
@@ -333,20 +341,13 @@ def action_automorphisms(action: ModuleAction) -> list[tuple[int, ...]]:
         if v == m:
             perms.append(tuple(pi))
             return
-        for w in range(m):
-            if w in used or inv[v] != inv[w]:
+        for w in np.flatnonzero(allowed[v]).tolist():
+            if w in used:
                 continue
-            if action.unit_module is not None and v == action.unit_module and w != v:
-                continue
-            ok = True
-            for i in range(mats.shape[0]):
-                for u, pu in enumerate(pi):
-                    if mats[i, v, u] != mats[i, w, pu] or mats[i, u, v] != mats[i, pu, w]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
+            # the entries between v and the vertices placed so far, both ways
+            if np.array_equal(mats[:, v, :v], mats[:, w, pi]) and np.array_equal(
+                mats[:, :v, v], mats[:, pi, w]
+            ):
                 extend(pi + [w], used | {w})
 
     extend([], set())

@@ -13,6 +13,7 @@ checks in this module are exhaustive and exact.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
@@ -59,19 +60,28 @@ def internal_end(action: ModuleAction, x: ObjectVec) -> ObjectVec:
 
 
 def internal_ends(action: ModuleAction, xs) -> list[ObjectVec]:
-    """`internal_end` of each object of xs: sum_jl v_j mats[i, j, l] v_l for
-    all of them at once, one base label i at a time so that memory holds
-    one objects-by-simples product, in the dtype `fusion._exact_dtype` picks."""
+    """`internal_end` of each object of xs, all at once (see `_end_rows`)."""
     for x in xs:
         if x.space != action.space or len(x.mult) != action.rank:
             raise FusionError(f"object over {x.space} does not match module {action.name}")
         if x.is_zero():
             raise ModuleError("internal End of the zero object is undefined")
     V = np.stack([x.as_array() for x in xs])  # one row per object; dtype=object if any row is
+    return [ObjectVec(action.base.name, tuple(row)) for row in _end_rows(action, V).tolist()]
+
+
+def _end_rows(action: ModuleAction, V: np.ndarray) -> np.ndarray:
+    """[object, i]: sum_jl V[object, j] mats[i, j, l] V[object, l], the
+    internal End of each row of V.  One base label i at a time, so that
+    memory holds one objects-by-simples product, in the dtype
+    `fusion._exact_dtype` picks; returned as int64, or as Python ints when
+    a partial sum could pass 2**53."""
     dtype = _exact_dtype((action.rank**2, V, action.mats, V))
     V = V.astype(dtype)
-    out = np.stack([((V @ M) * V).sum(axis=1) for M in action.mats.astype(dtype)])  # [i, object]
-    return [ObjectVec(action.base.name, tuple(int(c) for c in col)) for col in out.T]
+    out = np.empty((len(V), action.base.rank), dtype=dtype)
+    for i, M in enumerate(action.mats.astype(dtype)):
+        out[:, i] = ((V @ M) * V).sum(axis=1)
+    return out if dtype == object else out.astype(np.int64)
 
 
 # -- verification ---------------------------------------------------------------
@@ -359,22 +369,25 @@ def _solve_affine_nonneg(rows, rhs, nvars):
 # -- table formatting -----------------------------------------------------------
 
 
-def decomposition(vec: ObjectVec, labels: tuple[str, ...], style: str = "text") -> str:
-    """Render an object as a sum of simples.
+def decomposition(
+    vec: ObjectVec | Sequence[int], labels: tuple[str, ...], style: str = "text"
+) -> str:
+    """Render an object, or its multiplicities, as a sum of simples.
 
     text:    1 ⊕ 5     (repeating each simple by its multiplicity)
     machine: 1^1 + 5^1
     """
-    if vec.is_zero():
+    mults = vec.mult if isinstance(vec, ObjectVec) else vec
+    if not any(mults):
         return "0"
     if style == "text":
         parts = []
-        for lab, mult in zip(labels, vec.mult):
+        for lab, mult in zip(labels, mults):
             parts.extend([lab] * mult)
         return " ⊕ ".join(parts)
     if style == "machine":
         return " + ".join(
-            f"{lab}^{mult}" for lab, mult in zip(labels, vec.mult) if mult
+            f"{lab}^{mult}" for lab, mult in zip(labels, mults) if mult
         )
     raise ValueError(f"unknown style {style!r}")
 

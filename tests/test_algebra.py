@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -15,9 +16,9 @@ from tracecat.algebra import (
     semisimplicity_witness,
 )
 from tracecat import algebra
-from tracecat.fusion import ObjectVec, verlinde_su2
-from tracecat.modules import ModuleError, regular_module
-from tracecat.packages import load_builtin
+from tracecat.fusion import ObjectVec, fuse, verlinde_su2
+from tracecat.modules import ModuleError, action_automorphisms, regular_module
+from tracecat.packages import BUILTIN_FILES, load_builtin
 from tracecat.trace import internal_end, trace_of_word
 
 
@@ -34,26 +35,49 @@ def su2_16_catalogs(su2_16_actions):
 def test_enumerate_bound_one_lists_vertices():
     e7 = load_builtin("e7_su2_16")
     catalog = enumerate_internal_ends(e7, 1)
-    assert len(catalog.entries) == 7
-    assert all(entry.x.total == 1 for entry in catalog.entries)
+    assert np.array_equal(catalog.xs, np.eye(7)[::-1])  # (total, mult) order
 
 
 def test_enumerate_quotients_by_symmetry():
     d10 = load_builtin("d10_su2_16")
     catalog = enumerate_internal_ends(d10, 1)
     # the fork legs 9 and 9' are identified, leaving nine orbits
-    assert len(catalog.entries) == 9
+    assert catalog.xs.shape == (9, 10) and catalog.ends.shape == (9, 17)
 
 
 def test_enumerate_regular_identity():
     a17 = load_builtin("a17_su2_16")
     catalog = enumerate_internal_ends(a17, 1)
     ring = a17.base
-    for entry in catalog.entries:
-        j = next(i for i, v in enumerate(entry.x.mult) if v)
-        from tracecat.fusion import fuse
+    for x, end in zip(catalog.xs, catalog.ends):
+        j = int(np.flatnonzero(x)[0])
+        assert tuple(end) == fuse(ring, ring.basis(j), ring.basis(ring.dual[j])).mult
 
-        assert entry.end == fuse(ring, ring.basis(j), ring.basis(ring.dual[j]))
+
+def _reference_catalog(action, bound):
+    """The catalog rows, (xs, ends), by a Python loop over multisets: each
+    orbit's representative is the lexicographically greatest image."""
+    m = action.rank
+    inverses = [sorted(range(m), key=p.__getitem__) for p in action_automorphisms(action)]
+    seen = set()
+    for total in range(1, bound + 1):
+        for combo in itertools.combinations_with_replacement(range(m), total):
+            mult = [0] * m
+            for j in combo:
+                mult[j] += 1
+            seen.add(max(tuple(mult[j] for j in inverse) for inverse in inverses))
+    xs = np.array(sorted(seen, key=lambda mult: (sum(mult), mult)))
+    return xs, np.einsum("ej,ijl,el->ei", xs, action.mats, xs)
+
+
+@pytest.mark.parametrize("name", [*BUILTIN_FILES, "a4_su2_3", "a21_su2_20"])
+@pytest.mark.parametrize("bound", [1, 2, 3])
+def test_enumerate_matches_the_reference_loop(name, bound):
+    action = load_builtin(name)
+    catalog = enumerate_internal_ends(action, bound)
+    xs, ends = _reference_catalog(action, bound)
+    assert np.array_equal(catalog.xs, xs)
+    assert np.array_equal(catalog.ends, ends)
 
 
 def test_enumerate_requires_positive_bound():
@@ -232,9 +256,9 @@ def test_bound_two_catalog_contains_the_d10_witness():
     catalog = enumerate_internal_ends(d10, 2)
     A = d10.basis("1") + d10.basis("9")
     target = trace_of_word(d10, [A, A])
-    hits = [e for e in catalog.entries if e.end == target]
+    hits = np.flatnonzero((catalog.ends == target.mult).all(axis=1))
     assert len(hits) == 1
-    assert hits[0].x.mult == (1, 0, 0, 0, 0, 0, 0, 0, 1, 0)
+    assert tuple(catalog.xs[hits[0]]) == (1, 0, 0, 0, 0, 0, 0, 0, 1, 0)
 
 
 def test_trace_of_simple_times_dual_is_internal_end():

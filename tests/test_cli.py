@@ -126,6 +126,15 @@ def test_repeated_identify_names_count_once(capsys, monkeypatch, once, repeated)
     assert sorted(loaded) == loaded_once  # a repeated name is not loaded again
 
 
+def test_identify_reuses_the_builtin_package(capsys, monkeypatch):
+    loaded = []
+    monkeypatch.setattr(cli, "load_builtin", lambda name: loaded.append(name) or load_builtin(name))
+    argv = ("end", "--builtin", "e7_su2_16", "--object", "1", "--identify", "a17_su2_16,e7_su2_16")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "witness = e7_su2_16:1^1  unique = yes" in out
+    assert loaded == ["e7_su2_16", "a17_su2_16"]  # --builtin once, then the new name
+
+
 def test_identify_over_another_base_ring_exits_one(capsys, tmp_path):
     # a regular module over the D4 module ring: its internal Ends are not
     # objects of SU(2)_3, whatever their multiplicities

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -262,6 +263,49 @@ def test_graph_automorphisms():
     # without a distinguished unit the A17 path also flips end to end
     a17 = ade_action("a17", 16, unit=None)
     assert len(action_automorphisms(a17)) == 2
+
+
+def _brute_force_automorphisms(action):
+    """Every permutation p with mats[i, p[v], p[u]] = mats[i, v, u], fixing
+    the unit module if there is one, in lexicographic order."""
+    unit = action.unit_module
+    return [
+        p
+        for p in itertools.permutations(range(action.rank))
+        if (unit is None or p[unit] == unit)
+        and np.array_equal(action.mats[:, p][:, :, p], action.mats)
+    ]
+
+
+SMALL_BUILTINS = [n for n in (*BUILTIN_FILES, "a5_su2_4") if load_builtin(n).rank <= 7]
+
+
+@pytest.mark.parametrize("name", [*SMALL_BUILTINS, "reg_d4"])
+def test_automorphisms_match_brute_force(name):
+    if name == "reg_d4":  # unlike every builtin's, its matrices are not all symmetric
+        action = regular_module(load_builtin("d4_su2_4").module_ring(), name=name)
+    else:
+        action = load_builtin(name)
+    unitless = ModuleAction(action.name, action.base, action.base_spec, action.msimples, action.mats)
+    for a in (action, unitless):
+        assert action_automorphisms(a) == _brute_force_automorphisms(a)
+
+
+def test_automorphisms_of_a_relabelled_action_are_conjugates():
+    d10 = ade_action("d10", 16, unit="1")
+    s = (3, 8, 0, 6, 9, 1, 4, 2, 7, 5)  # the new label of each old simple
+    inv = np.argsort(s)
+    relabelled = ModuleAction(
+        "d10_relabelled",
+        d10.base,
+        d10.base_spec,
+        tuple(d10.msimples[i] for i in inv),
+        d10.mats[:, inv][:, :, inv],
+        s[d10.unit_module],
+    )
+    conjugates = sorted(tuple(s[p[i]] for i in inv) for p in action_automorphisms(d10))
+    assert action_automorphisms(relabelled) == conjugates
+    assert len(conjugates) == 2
 
 
 def test_automorphism_acts_on_fusion_tensor():

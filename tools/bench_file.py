@@ -41,7 +41,9 @@ the TL workloads by up to 0.7 MB.
   and D22/k=40 actions (each built untimed first), `check_forgetful` on
   the derived D12/k=20 package, and `check_splitting_iso` and
   `check_forgetful` on the derived D22/k=40 package (each package derived
-  untimed first).  `median_s` is the median over the runs.
+  untimed first).  Last, the internal-End catalog of `a17_su2_16` at bound
+  3 and `action_automorphisms` of `a61_su2_60`, each package loaded untimed
+  first.  `median_s` is the median over the runs.
 
 The output holds the machine, Python and numpy, the command with the base
 resolved to its sha, and for each tree its git sha, `src_lines` and rows
@@ -77,9 +79,10 @@ def layer_child() -> None:
     from perfbench.child import cache_clearers
 
     from tracecat import tl
+    from tracecat.algebra import enumerate_internal_ends
     from tracecat.cyclo import scalar_field
-    from tracecat.modules import derive_module_fusion
-    from tracecat.packages import ade_action
+    from tracecat.modules import action_automorphisms, derive_module_fusion
+    from tracecat.packages import ade_action, load_builtin
     from tracecat.trace import check_forgetful, check_splitting_iso
 
     clearers = cache_clearers()
@@ -165,6 +168,14 @@ def layer_child() -> None:
     d22 = derive_module_fusion(ade_action("d22", 40, unit="1")).data
     for check in (check_splitting_iso, check_forgetful):
         rows[f"trace.{check.__name__}.d22_su2_40"] = timed(lambda field: check(d22))
+    rows["algebra.enumerate_internal_ends.a17_su2_16.b3"] = timed(
+        lambda field, action: enumerate_internal_ends(action, 3),
+        setup=lambda field: (load_builtin("a17_su2_16"),),
+    )
+    rows["modules.action_automorphisms.a61_su2_60"] = timed(
+        lambda field, action: action_automorphisms(action),
+        setup=lambda field: (load_builtin("a61_su2_60"),),
+    )
     json.dump({"tracecat": tl.__file__, "rows": rows}, sys.stdout)
 
 
