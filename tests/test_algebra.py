@@ -156,6 +156,13 @@ def test_no_witness_for_non_algebra(su2_16_actions):
     assert report.line() == "object = 1^1 + 2^1  witness = none"
 
 
+@pytest.mark.parametrize("big", [2**63, 2**64])
+def test_identify_an_object_past_int64_matches_nothing(su2_16_catalogs, big):
+    # the target is a uint64 or an object array against int64 Ends
+    candidate = AlgebraCandidate(ObjectVec("su2_16", (big,) + (0,) * 16), "big", verlinde_su2(16))
+    assert identify_algebra(candidate, su2_16_catalogs) == []
+
+
 def test_candidate_must_contain_unit():
     with pytest.raises(ModuleError):
         AlgebraCandidate(ObjectVec("su2_16", (0, 1) + (0,) * 15), "no unit", verlinde_su2(16))
