@@ -18,8 +18,10 @@ curls and traciators caps each strand as soon as its last crossing is done,
 so every intermediate morphism has as few top points as possible.  There is
 one wrap, to the right: reflecting left to right fixes id and every e_i, so
 it fixes each crossing a id + b e, and a left curl or a '-' traciator is the
-mirror image of a right wrap.  The diagram and glue tables are LRU caches
-of bounded size.
+mirror image of a right wrap.  Gluing two diagrams walks from each outer
+point through both pairings in turn, crossing the seam by index arithmetic;
+the seam points no walk reaches lie on closed loops.  The diagram and glue
+tables are LRU caches of bounded size.
 
 Composition is a block kernel.  The operand with fewer distinct coefficients
 c gives one multiplier c delta**loops per distinct (c, loops), whose integral
@@ -63,6 +65,8 @@ class PlanarDiagram:
 
     def __post_init__(self):
         n = self.n_bottom + self.n_top
+        if self.n_bottom < 0 or self.n_top < 0:
+            raise ValueError("negative boundary size")
         if n % 2:
             raise ValueError("odd number of boundary points")
         if len(self.pairing) != n:
@@ -132,50 +136,51 @@ def _diagram(nb: int, nt: int, pairing: tuple[int, ...]) -> PlanarDiagram:
 
 @lru_cache(maxsize=_TABLE_BOUND)
 def _glue(top: PlanarDiagram, bottom: PlanarDiagram) -> tuple[int, PlanarDiagram]:
-    """Stack `top` onto `bottom`; return (closed loops, resulting diagram)."""
+    """Stack `top` onto `bottom`; return (closed loops, resulting diagram).
+
+    Seam point j is bottom's point a + j and top's point j.  The walk from
+    each result point follows one diagram's chord and, while it ends on the
+    seam, crosses there to the other diagram's chord, marking the seam
+    point; the seam points left unmarked lie on closed loops."""
     a, b, c = bottom.n_bottom, bottom.n_top, top.n_top
-    # union point ids: bottom diagram 0..a+b-1, top diagram a+b..a+2b+c-1
-    off = a + b
-    partner = list(bottom.pairing) + [p + off for p in top.pairing]
-
-    def is_mid(u: int) -> bool:
-        return a <= u < a + 2 * b
-
-    def glue_partner(u: int) -> int:
-        # bottom-top point a+j is glued to top-bottom point off+j
-        return u + b if u < off else u - b
-
-    outer = list(range(a)) + list(range(off + b, off + b + c))
-    result = [0] * (a + c)
-
-    def resid(u: int) -> int:
-        return u if u < a else u - off - b + a
-
-    seen = [False] * (a + 2 * b + c)
-    for start in outer:
-        if seen[start]:
+    low, high = bottom.pairing, top.pairing
+    result = [-1] * (a + c)  # bottom's points 0..a-1, then top's b..b+c-1
+    seen = [False] * b
+    for start in range(a + c):
+        if result[start] >= 0:
             continue
-        seen[start] = True
-        u = partner[start]
-        while is_mid(u):
-            seen[u] = True
-            u = glue_partner(u)
-            seen[u] = True
-            u = partner[u]
-        seen[u] = True
-        result[resid(start)] = resid(u)
-        result[resid(u)] = resid(start)
+        if start < a:
+            p = low[start]
+            while p >= a:
+                seen[p - a] = True
+                p = high[p - a]
+                if p >= b:
+                    p += a - b
+                    break
+                seen[p] = True
+                p = low[a + p]
+        else:
+            p = high[start - a + b]
+            while p < b:
+                seen[p] = True
+                p = low[a + p]
+                if p < a:
+                    break
+                seen[p - a] = True
+                p = high[p - a]
+            else:
+                p += a - b
+        result[start], result[p] = p, start
     loops = 0
-    for start in range(a, a + 2 * b):
-        if seen[start]:
+    for j in range(b):
+        if seen[j]:
             continue
         loops += 1
-        u = start
-        while not seen[u]:
-            seen[u] = True
-            u = partner[u]
-            seen[u] = True
-            u = glue_partner(u)
+        while not seen[j]:
+            seen[j] = True
+            j = high[j]
+            seen[j] = True
+            j = low[a + j] - a
     return loops, _diagram(a, c, tuple(result))
 
 
@@ -316,20 +321,11 @@ def tensor(f: TLMorphism, g: TLMorphism) -> TLMorphism:
 
 
 def _tensor_diagrams(df: PlanarDiagram, dg: PlanarDiagram) -> PlanarDiagram:
-    nb, nt = df.n_bottom + dg.n_bottom, df.n_top + dg.n_top
-
-    def remap_f(p: int) -> int:
-        return p if p < df.n_bottom else p + dg.n_bottom
-
-    def remap_g(p: int) -> int:
-        return p + df.n_bottom if p < dg.n_bottom else p + df.n_bottom + df.n_top
-
-    pairing = [0] * (nb + nt)
-    for p, q in enumerate(df.pairing):
-        pairing[remap_f(p)] = remap_f(q)
-    for p, q in enumerate(dg.pairing):
-        pairing[remap_g(p)] = remap_g(q)
-    return _diagram(nb, nt, tuple(pairing))
+    fb, gb, ft = df.n_bottom, dg.n_bottom, df.n_top
+    # the result's points: f's bottom, g's bottom, f's top, g's top
+    f = [q if q < fb else q + gb for q in df.pairing]
+    g = [q + fb if q < gb else q + fb + ft for q in dg.pairing]
+    return _diagram(fb + gb, ft + dg.n_top, tuple(f[:fb] + g[:gb] + f[fb:] + g[gb:]))
 
 
 @lru_cache(maxsize=None)
@@ -386,6 +382,8 @@ def embed(f: TLMorphism, left: int, right: int) -> TLMorphism:
 
 def all_diagrams(nb: int, nt: int) -> list[PlanarDiagram]:
     """Every planar pairing with the given boundary (Catalan many)."""
+    if nb < 0 or nt < 0:
+        raise ValueError("negative boundary size")
     n = nb + nt
     if n % 2:
         return []
@@ -566,11 +564,11 @@ def twist_morphism(x: TLObject, positive: bool = True, side: str = "right") -> T
     """The curl through the object: braid a strand group around itself and
     close, after x's projector (which the curl carries to its top).  The
     left curl is the mirror image of the right one."""
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
     n = x.strands
     if n == 0:
         return x.proj
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
     curl = _wrap_right(x.proj.field, n, n, positive)
     return compose(curl if side == "right" else curl.mirror(), x.proj)
 

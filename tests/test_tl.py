@@ -140,8 +140,10 @@ def test_twist_matches_kauffman_oracle(n):
 
 def test_twist_unit_variants():
     assert twist(jones_wenzl(0, F)) == F.one
-    with pytest.raises(ValueError):
-        twist_morphism(jones_wenzl(1, F), True, "up")
+    # an unknown side fails on every object, the unit included
+    for x in (unit_object(F), jones_wenzl(1, F)):
+        with pytest.raises(ValueError, match="side must be"):
+            twist_morphism(x, True, "sideways")
 
 
 def test_pivotal_trace_spherical():
@@ -337,6 +339,53 @@ def test_linear_planarity_check_matches_chord_test():
     assert checked == sum((n + 1) * c for n, c in involutions.items())
 
 
+@lru_cache(maxsize=None)
+def _reference_glue(top, bottom):
+    """`top` stacked onto `bottom` by union-find over the chords of both
+    diagrams and the seam identifications.  Bottom's points are 0..a+b-1 and
+    top's a+b..a+2b+c-1; seam point j joins a+j to a+b+j.  A component with
+    outer points is a chord of the result, any other one a closed loop."""
+    a, b, c = bottom.n_bottom, bottom.n_top, top.n_top
+    off = a + b
+    parent = list(range(off + b + c))
+
+    def find(u):
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        return u
+
+    chords = list(enumerate(bottom.pairing))
+    chords += [(off + p, off + q) for p, q in enumerate(top.pairing)]
+    chords += [(a + j, off + j) for j in range(b)]
+    for u, v in chords:
+        parent[find(u)] = find(v)
+    ends = {}
+    for i, u in enumerate([*range(a), *range(off + b, off + b + c)]):
+        ends.setdefault(find(u), []).append(i)
+    pairing = [0] * (a + c)
+    for i, j in ends.values():
+        pairing[i], pairing[j] = j, i
+    loops = len({find(u) for u in parent}) - len(ends)
+    return loops, PlanarDiagram(a, c, tuple(pairing))
+
+
+def test_glue_equals_the_union_find_reference_on_every_small_pair():
+    pairs = looped = 0
+    for a in range(5):
+        for b in range(5):
+            for c in range(5):
+                for bottom in all_diagrams(a, b):
+                    for top in all_diagrams(b, c):
+                        loops, diag = tl._glue(top, bottom)
+                        want_loops, want = _reference_glue(top, bottom)
+                        assert loops == want_loops
+                        assert diag is tl._diagram(a, c, want.pairing)
+                        pairs += 1
+                        looped += loops > 0
+    assert pairs == 579 and looped > 100
+
+
 def _single_diagrams(field, max_top):
     for nb in range(5):
         for nt in range(max_top + 1):
@@ -387,6 +436,9 @@ def test_interned_diagram_equals_public_one():
         (2, 2, (0, 3, 2, 1)),  # fixed point
         (2, 2, (1, 0, 3, 4)),  # partner out of range
         (2, 2, (3, 2, 1, 0)),  # crossing chords
+        (-2, 4, (1, 0)),  # negative bottom
+        (3, -1, (1, 0)),  # negative top
+        (-2, 2, ()),  # negative bottom, no points
     ],
 )
 def test_every_construction_path_rejects_bad_pairings(nb, nt, pairing):
@@ -395,6 +447,9 @@ def test_every_construction_path_rejects_bad_pairings(nb, nt, pairing):
         PlanarDiagram(nb, nt, pairing)
     with pytest.raises(ValueError):
         tl._diagram(nb, nt, pairing)
+    if min(nb, nt) < 0:
+        with pytest.raises(ValueError, match="negative boundary size"):
+            all_diagrams(nb, nt)
 
 
 def test_crossings_and_curls_glue_nothing(monkeypatch):
@@ -671,11 +726,12 @@ def test_wraps_projected_once_equal_two_sided_ones(k, width):
 
 
 def _reference_compose(f, g):
-    """f after g summed one term pair at a time in `Cyc` arithmetic."""
+    """f after g summed one term pair at a time in `Cyc` arithmetic, each
+    pair glued by the union-find reference."""
     field, terms = f.field, {}
     for dg, cg in g.terms.items():
         for df, cf in f.terms.items():
-            loops, diag = tl._glue(df, dg)
+            loops, diag = _reference_glue(df, dg)
             coef = cf * cg
             if loops:
                 coef = coef * tl._delta_power(field, loops)

@@ -30,9 +30,12 @@ the TL workloads by up to 0.7 MB.
   and on the simples x, y of labels 3 and 4 `traciator_self_action(x, y,
   "+")` and `twist_morphism(x (x) y)` (their unprojected wraps built
   untimed first, through the tree's own cache, so these rows time the
-  projection); `jones_wenzl(5)`; one `compose` of the two '+' traciators
-  that the `traciator_composition` check composes at the labels TRIPLE
-  (strand total 5, the widest), both built untimed; all at k = 4;
+  projection); `jones_wenzl(5)`; `_glue` uncached (`tl._glue.__wrapped__`)
+  over the distinct pairs that `identity_suite(4)` glues, recorded untimed
+  first, so the diagram table holds the results (row `tl.glue.k4`); one
+  `compose` of the two '+' traciators that the `traciator_composition`
+  check composes at the labels TRIPLE (strand total 5, the widest), both
+  built untimed; all at k = 4;
   `identity_suite(k)` for k in {2, 4, 10, 16, 28}, and `identity_suite(16,
   strand_cap=6)` (row `tl.identity_suite.k16.cap6`, above the default cap
   4 at that level); all exact.  At k in {4, 16, 28}, `Cyc` `*` over
@@ -117,6 +120,21 @@ def layer_child() -> None:
             tl.traciator_self_action(a.tensor(b), c, "+"),
         )
 
+    def glue_pairs(field):
+        """The distinct (top, bottom) pairs that identity_suite(4) glues."""
+        pairs, glue = {}, tl._glue
+
+        def record(top, bottom):
+            pairs[top, bottom] = None
+            return glue(top, bottom)
+
+        tl._glue = record
+        try:
+            tl.identity_suite(4)
+        finally:
+            tl._glue = glue
+        return (list(pairs),)
+
     rows = {}
     for n in range(1, 6):
         rows[f"tl._wrap_right.p{n}q{n}"] = timed(tl._wrap_right, n, n, True)
@@ -130,6 +148,10 @@ def layer_child() -> None:
         lambda field, x, y, xy: tl.twist_morphism(xy), setup=pair
     )
     rows["tl.jones_wenzl.n5"] = timed(lambda field: tl.jones_wenzl(5, field))
+    rows["tl.glue.k4"] = timed(
+        lambda field, pairs: [tl._glue.__wrapped__(top, bottom) for top, bottom in pairs],
+        setup=glue_pairs,
+    )
     a, b, c = TRIPLE
     rows[f"tl.compose.traciator_composition.a{a}b{b}c{c}"] = timed(
         lambda field, outer, inner: tl.compose(outer, inner), setup=composition_pair
