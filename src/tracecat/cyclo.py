@@ -155,6 +155,8 @@ class Cyc:
 
     def __add__(self, other: "Cyc") -> "Cyc":
         a, b = self, other
+        if a.field is not b.field:
+            raise ValueError("scalar field mismatch")
         if a.den == b.den:
             return Cyc(a.field, tuple(x + y for x, y in zip(a.num, b.num)), a.den)
         return Cyc(
@@ -170,6 +172,8 @@ class Cyc:
         return Cyc(self.field, tuple(-c for c in self.num), self.den)
 
     def __mul__(self, other: "Cyc") -> "Cyc":
+        if self.field is not other.field:
+            raise ValueError("scalar field mismatch")
         d = self.field.degree
         a, b = self.num, other.num
         conv = [0] * (2 * d - 1)

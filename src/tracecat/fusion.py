@@ -74,10 +74,6 @@ class ObjectVec:
     def is_zero(self) -> bool:
         return not any(self.mult)
 
-    @property
-    def total(self) -> int:
-        return sum(self.mult)
-
     def as_array(self) -> np.ndarray:
         """The multiplicities as int64, or as Python ints past 2**63 - 1."""
         big = max(self.mult, default=0) >= 2**63

@@ -13,14 +13,14 @@ pair of module simples, reduced once to integer equations that each force a
 cell when only that cell is unknown.  A worklist of newly assigned cells
 carries these forcings, the unit and, once the unit column has fixed the
 duality, the based-ring symmetries; an exhaustive search over the cells left
-free, with every candidate validated as a based ring, finds all solutions,
-which are quotiented by the unit-fixing symmetries of the graph.
+free, with every candidate validated as module tensor data, finds all
+solutions, which are quotiented by the unit-fixing symmetries of the graph.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -392,15 +392,7 @@ def derive_module_fusion(
         unit = action.index(unit_module) if isinstance(unit_module, str) else unit_module
     # the result takes the action's fields and the solved mN, never an mN
     # the caller's data carried
-    fields = dict(
-        name=action.name,
-        base=action.base,
-        base_spec=action.base_spec,
-        msimples=action.msimples,
-        mats=action.mats,
-        unit_module=unit,
-    )
-    action = ModuleAction(**fields)
+    action = ModuleAction(**{**_action_fields(action), "unit_module": unit})
     report = validate_action(action)
     if not report.ok:
         raise ModuleError("; ".join(report.failures))
@@ -419,29 +411,26 @@ def derive_module_fusion(
             "quotienting by graph symmetry",
             reps,
         )
-    data = ModuleTensorData(**fields, mN=reps[0])
-    check = validate_tensor_data(data)
-    if not check.ok:
-        raise NoConsistentFusion("; ".join(check.failures))
+    # a validated candidate permuted by a unit-fixing symmetry: valid as well
+    data = ModuleTensorData(**_action_fields(action), mN=reps[0])
     return DeriveResult(data=data, n_solutions=len(solutions), symmetries=perms)
+
+
+def _action_fields(action: ModuleAction) -> dict:
+    """The ModuleAction fields of `action`, without any fusion data it carries."""
+    return {f.name: getattr(action, f.name) for f in fields(ModuleAction)}
 
 
 def _quotient_by_symmetry(
     solutions: list[np.ndarray], perms: list[tuple[int, ...]]
 ) -> list[np.ndarray]:
-    seen: dict[bytes, np.ndarray] = {}
+    """One representative per orbit, its byte-least image under `perms`
+    (which hold the identity); the representatives in byte order."""
+    reps: dict[bytes, np.ndarray] = {}
     for sol in solutions:
-        orbit = []
-        for p in perms:
-            pi = list(p)
-            permuted = sol[np.ix_(pi, pi, pi)]
-            orbit.append(permuted.tobytes())
-        canon = min(orbit)
-        if canon not in seen:
-            idx = orbit.index(canon)
-            pi = list(perms[idx])
-            seen[canon] = sol[np.ix_(pi, pi, pi)]
-    return [seen[key] for key in sorted(seen)]
+        rep = min((sol[np.ix_(p, p, p)] for p in perms), key=np.ndarray.tobytes)
+        reps[rep.tobytes()] = rep
+    return [reps[key] for key in sorted(reps)]
 
 
 def _integer_rows(rows: list[list[Fraction]], ncols: int) -> np.ndarray:
@@ -638,7 +627,10 @@ class _FusionSolver:
             return
         if cell is None:
             mN = self._assemble(vals)
-            if mN is not None and self._final_check(mN, dual):
+            if mN is None:
+                return
+            candidate = ModuleTensorData(**_action_fields(self.action), mN=mN, mdual=dual)
+            if validate_tensor_data(candidate).ok:
                 solutions.append(mN)
             return
         z, x, w = cell
@@ -666,16 +658,3 @@ class _FusionSolver:
         mN = np.zeros((self.m,) * 3, dtype=np.int64)
         mN[tuple(np.array(list(vals)).T)] = list(vals.values())
         return mN
-
-    def _final_check(self, mN: np.ndarray, dual) -> bool:
-        ring = FusionRing(
-            name="candidate",
-            labels=self.action.msimples,
-            unit=self.unit,
-            dual=dual,
-            N=mN,
-        )
-        if not validate_ring(ring).ok:
-            return False
-        compat = np.einsum("iz,zxw->iwx", self.phi, mN)
-        return np.array_equal(compat, self.mats)

@@ -208,7 +208,10 @@ class TLMorphism:
     # -- linear structure ---------------------------------------------------
 
     def __add__(self, other: "TLMorphism") -> "TLMorphism":
-        self._check_boundary(other)
+        if self.field is not other.field:
+            raise ValueError("scalar field mismatch")
+        if (self.n_bottom, self.n_top) != (other.n_bottom, other.n_top):
+            raise ValueError("boundary mismatch")
         terms = dict(self.terms)
         for d, c in other.terms.items():
             _add_term(terms, d, c)
@@ -237,10 +240,6 @@ class TLMorphism:
 
     def __hash__(self):
         raise TypeError("TLMorphism is unhashable")
-
-    def _check_boundary(self, other: "TLMorphism") -> None:
-        if (self.n_bottom, self.n_top) != (other.n_bottom, other.n_top):
-            raise ValueError("boundary mismatch")
 
     # -- diagram operations ---------------------------------------------------
 
@@ -381,39 +380,29 @@ def embed(f: TLMorphism, left: int, right: int) -> TLMorphism:
 
 
 def all_diagrams(nb: int, nt: int) -> list[PlanarDiagram]:
-    """Every planar pairing with the given boundary (Catalan many)."""
+    """Every planar pairing with the given boundary (Catalan many): the first
+    open point in disk order pairs with each later one in turn, and the
+    points on either side of that chord pair among themselves."""
     if nb < 0 or nt < 0:
         raise ValueError("negative boundary size")
     n = nb + nt
     if n % 2:
         return []
+    disk = (*range(nb), *range(n - 1, nb - 1, -1))
+    pairing = [0] * n
 
-    def cpos_inv(c: int) -> int:
-        return c if c < nb else nb + (nt - 1 - (c - nb))
+    def chords(lo: int, hi: int):
+        """Fill `pairing` on the disk positions lo..hi-1, once per way."""
+        if lo == hi:
+            yield
+            return
+        for mid in range(lo + 1, hi, 2):
+            p, q = disk[lo], disk[mid]
+            pairing[p], pairing[q] = q, p
+            for _ in chords(lo + 1, mid):
+                yield from chords(mid + 1, hi)
 
-    def rec(points: tuple[int, ...]) -> list[dict[int, int]]:
-        if not points:
-            return [{}]
-        out = []
-        first = points[0]
-        for j in range(1, len(points), 2):
-            mate = points[j]
-            for left in rec(points[1:j]):
-                for right in rec(points[j + 1 :]):
-                    combined = dict(left)
-                    combined.update(right)
-                    combined[first] = mate
-                    combined[mate] = first
-                    out.append(combined)
-        return out
-
-    results = []
-    for matching in rec(tuple(range(n))):
-        pairing = [0] * n
-        for p, q in matching.items():
-            pairing[cpos_inv(p)] = cpos_inv(q)
-        results.append(_diagram(nb, nt, tuple(pairing)))
-    return results
+    return [_diagram(nb, nt, tuple(pairing)) for _ in chords(0, n)]
 
 
 # -- Jones-Wenzl projectors ---------------------------------------------------
@@ -646,7 +635,6 @@ class CheckResult:
 
 @dataclass
 class SuiteReport:
-    level: int
     checks: list[CheckResult]
 
     @property
@@ -674,20 +662,16 @@ def jw_by_annihilation(n: int, field) -> TLMorphism:
     rows: list[list] = []
     for i in range(n - 1):
         capped: dict[PlanarDiagram, dict[int, object]] = {}
-        capper = embed(cap(field), i, n - 2 - i)
-        for d in diagrams:
-            single = TLMorphism(field, n, n, {d: field.one})
-            out = compose(capper, single)
-            for dd, c in out.terms.items():
-                capped.setdefault(dd, {})[idx[d]] = c
+        for j, d in enumerate(diagrams):
+            # one term, or none where delta = 0 and the cap closes a loop
+            for dd, c in _cap_off(TLMorphism(field, n, n, {d: field.one}), i, 1).terms.items():
+                capped.setdefault(dd, {})[j] = c
         for dd, entries in capped.items():
             row = [field.zero] * (ncols + 1)
             for j, c in entries.items():
                 row[j] = c
             rows.append(row)
-    ident = next(
-        d for d in diagrams if d.pairing == tuple(range(n, 2 * n)) + tuple(range(n))
-    )
+    (ident,) = identity(field, n).terms
     row = [field.zero] * (ncols + 1)
     row[idx[ident]] = row[ncols] = field.one
     rows.append(row)
@@ -978,4 +962,4 @@ def identity_suite(k: int, exact: bool = True, strand_cap: int | None = None) ->
 
     run("spherical_trace", spherical)
 
-    return SuiteReport(k, checks)
+    return SuiteReport(checks)

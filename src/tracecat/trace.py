@@ -12,7 +12,7 @@ checks in this module are exhaustive and exact.
 
 from __future__ import annotations
 
-import itertools
+import math
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -56,18 +56,12 @@ def trace_of_word(data: ModuleTensorData, word) -> ObjectVec:
 
 def internal_end(action: ModuleAction, x: ObjectVec) -> ObjectVec:
     """The base object representing endomorphisms of the module object x."""
-    return internal_ends(action, [x])[0]
-
-
-def internal_ends(action: ModuleAction, xs) -> list[ObjectVec]:
-    """`internal_end` of each object of xs, all at once (see `_end_rows`)."""
-    for x in xs:
-        if x.space != action.space or len(x.mult) != action.rank:
-            raise FusionError(f"object over {x.space} does not match module {action.name}")
-        if x.is_zero():
-            raise ModuleError("internal End of the zero object is undefined")
-    V = np.stack([x.as_array() for x in xs])  # one row per object; dtype=object if any row is
-    return [ObjectVec(action.base.name, tuple(row)) for row in _end_rows(action, V).tolist()]
+    if x.space != action.space or len(x.mult) != action.rank:
+        raise FusionError(f"object over {x.space} does not match module {action.name}")
+    if x.is_zero():
+        raise ModuleError("internal End of the zero object is undefined")
+    (row,) = _end_rows(action, x.as_array()[None]).tolist()
+    return ObjectVec(action.base.name, tuple(row))
 
 
 def _end_rows(action: ModuleAction, V: np.ndarray) -> np.ndarray:
@@ -309,11 +303,16 @@ def _label_one_generates(ring: FusionRing) -> bool:
 
 
 def _solve_affine_nonneg(rows, rhs, nvars):
-    """Unique nonnegative integer solution of a rational linear system.
+    """The unique nonnegative integer solution of a rational linear system,
+    or None.
 
-    The system may have a small rational kernel (fork symmetries of the
-    module graph); the kernel directions are enumerated over the integer
-    points where every coordinate stays nonnegative.
+    A fork of the module graph leaves a kernel of dimension one: the
+    solutions are p + t v, with v the kernel direction that is 1 at the free
+    column, so t is an integer.  Nonnegativity puts t in an exact interval,
+    and integrality of p + t v repeats in t with period L, the lcm of the
+    denominators of v; so when the first 2L + 1 integers of the interval
+    hold exactly one integral point, the whole interval does.  A larger or
+    unbounded kernel has no unique solution.
     """
     # early stop at full rank: the caller re-verifies every relation
     basis: dict[int, list[Fraction]] = {}  # pivot column -> normalized row + rhs
@@ -323,47 +322,25 @@ def _solve_affine_nonneg(rows, rhs, nvars):
             return None
         if len(basis) == nvars:
             break
-    pivots = sorted(basis)
     free = [c for c in range(nvars) if c not in basis]
-    if len(free) > 2:
+    if len(free) > 1:
         return None
-    particular = [Fraction(0)] * nvars
-    for col in pivots:
-        particular[col] = basis[col][nvars]
-    kernel = []
-    for f in free:
-        vec = [Fraction(0)] * nvars
-        vec[f] = Fraction(1)
-        for col in pivots:
-            vec[col] = -basis[col][f]
-        kernel.append(vec)
-
-    def candidate(ts):
-        vals = []
-        for c in range(nvars):
-            v = particular[c] + sum(t * kern[c] for t, kern in zip(ts, kernel))
-            if v.denominator != 1 or v < 0:
-                return None
-            vals.append(int(v))
-        return vals
-
-    if not kernel:
-        return candidate(())
-
-    bound = 0
-    for c in range(nvars):
-        if particular[c].denominator == 1:
-            bound = max(bound, abs(int(particular[c])))
-    span = range(-(bound + 1), bound + 2)
-    found = None
-    for ts in itertools.product(span, repeat=len(kernel)):
-        vals = candidate(ts)
-        if vals is None:
-            continue
-        if found is not None and vals != found:
-            return None
-        found = vals
-    return found
+    p = [basis[c][nvars] if c in basis else Fraction(0) for c in range(nvars)]
+    v = [Fraction(0)] * nvars  # t = 0 when the kernel is trivial
+    if free:
+        v = [-basis[c][free[0]] if c in basis else Fraction(1) for c in range(nvars)]
+    highs = [math.floor(pc / -vc) for pc, vc in zip(p, v) if vc < 0]
+    if free and not highs:
+        return None  # t is unbounded above
+    lo = max((math.ceil(-pc / vc) for pc, vc in zip(p, v) if vc > 0), default=0)
+    hi = min(highs, default=0)
+    period = math.lcm(*(vc.denominator for vc in v))
+    found = []
+    for t in range(lo, min(hi, lo + 2 * period) + 1):
+        point = [pc + t * vc for pc, vc in zip(p, v)]
+        if all(x.denominator == 1 and x >= 0 for x in point):
+            found.append(point)
+    return [int(x) for x in found[0]] if len(found) == 1 else None
 
 
 # -- table formatting -----------------------------------------------------------

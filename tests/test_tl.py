@@ -53,6 +53,31 @@ def test_diagram_counts_are_catalan():
     assert len(all_diagrams(0, 6)) == 5
 
 
+def _involutions(points):
+    """Every fixed-point-free involution of `points`, as {point: mate}."""
+    if not points:
+        yield {}
+        return
+    first = points[0]
+    for j in range(1, len(points)):
+        for rest in _involutions(points[1:j] + points[j + 1 :]):
+            yield {**rest, first: points[j], points[j]: first}
+
+
+def test_all_diagrams_are_the_planar_involutions():
+    for n in range(0, 11, 2):
+        involutions = [tuple(inv[p] for p in range(n)) for inv in _involutions(list(range(n)))]
+        for nb in range(n + 1):
+            planar = set()
+            for pairing in involutions:
+                try:
+                    planar.add(PlanarDiagram(nb, n - nb, pairing))
+                except ValueError:
+                    pass
+            got = all_diagrams(nb, n - nb)
+            assert len(got) == len(set(got)) and set(got) == planar
+
+
 def test_loop_value():
     closed = compose(cap(F), cup(F))
     empty = PlanarDiagram(0, 0, ())
@@ -809,6 +834,17 @@ def test_morphism_equality_is_field_aware():
     assert identity(f2, 2) != identity(f4, 2)
     assert TLMorphism(f2, 1, 1) != TLMorphism(f4, 1, 1)
     assert identity(f2, 2) == identity(f2, 2)
+
+
+def test_scalars_of_two_fields_do_not_combine():
+    # levels 2 and 10 have fields of degree 8 and 16
+    f2, f10 = scalar_field(2), scalar_field(10)
+    with pytest.raises(ValueError, match="scalar field mismatch"):
+        f10.zeta(9) + f2.one
+    with pytest.raises(ValueError, match="scalar field mismatch"):
+        braiding(f2) + braiding(f10)
+    with pytest.raises(ValueError, match="scalar field mismatch"):
+        identity(f2, 2).scaled(f10.zeta(9))
 
 
 def test_suites_of_fields_of_one_degree_in_one_process():

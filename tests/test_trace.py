@@ -28,7 +28,6 @@ from tracecat.trace import (
     check_traciator_iso,
     decomposition,
     internal_end,
-    internal_ends,
     trace_matrix,
     trace_object,
     trace_of_word,
@@ -491,6 +490,38 @@ def test_d12_rebuild_stacks_the_generator_rows_only(monkeypatch):
     assert len(counts) == 1 and counts[0] < 200  # every label's rows were 1,993
 
 
+@pytest.mark.parametrize(
+    "rows, rhs, want",
+    [
+        # x0 = (t - 7)/2, x1 = (7 - t)/3, x2 = t: only t = 7 is nonnegative,
+        # far from the particular solution's one integral entry (x2 = 0)
+        ([[2, 0, -1], [0, 3, 1]], [-7, 7], [0, 0, 7]),
+        # x0 = t/7, x1 = (7 - t)/7, x2 = t: integral at t = 0 and t = 7
+        ([[7, 0, -1], [0, 7, 1]], [0, 7], None),
+        ([[1, -1]], [0], None),  # x0 = x1 = t for every t >= 0: unbounded
+        ([[1, 1, 1]], [0], None),  # a two-dimensional kernel
+        ([[1, 0], [0, 1]], [3, 4], [3, 4]),  # no kernel
+        ([[2, 0], [0, 1]], [3, 4], None),  # no integral solution
+        ([[1, 0], [0, 1]], [-3, 4], None),  # no nonnegative solution
+    ],
+)
+def test_solve_affine_nonneg_decides_exactly(rows, rhs, want):
+    assert trace._solve_affine_nonneg(rows, rhs, len(rows[0])) == want
+
+
+def test_solve_affine_nonneg_tries_at_most_2l_plus_1_values(monkeypatch):
+    # x0 = t/3, x1 = N - t, x2 = t with 0 <= t <= N: integral at t = 0, 3, 6, ...
+    spans = []
+
+    def recording_range(*args):
+        spans.append(range(*args))
+        return spans[-1]
+
+    monkeypatch.setattr(trace, "range", recording_range, raising=False)
+    assert trace._solve_affine_nonneg([[3, 0, -1], [0, 1, 1]], [0, 10**30], 3) is None
+    assert max(map(len, spans)) <= 2 * 3 + 1
+
+
 def test_label_one_generates():
     assert all(trace._label_one_generates(verlinde_su2(k)) for k in range(101))
     golden = derive_module_fusion(ade_action("t2", 3, unit="1")).data.module_ring()
@@ -540,13 +571,11 @@ def test_internal_ends_of_many_objects_equal_each_one():
     xs = [data.basis(j) for j in range(m)]
     xs.append(ObjectVec(xs[0].space, tuple(range(1, m + 1))))
     xs.append(ObjectVec(xs[0].space, (2**70,) + (1,) * (m - 1)))  # past int64: Python ints
-    ends = internal_ends(data, xs)
-    for x, end in zip(xs, ends):
+    mats = data.mats
+    for x in xs:
         # End(x) = sum_jl v_j v_l M(c_i)[j][l], term by term in Python ints
-        mats = data.mats
         want = [
             sum(x.mult[j] * x.mult[l] * int(mats[i, j, l]) for j in range(m) for l in range(m))
             for i in range(mats.shape[0])
         ]
-        assert end.mult == tuple(want)
-        assert internal_end(data, x) == end
+        assert internal_end(data, x).mult == tuple(want)

@@ -104,12 +104,8 @@ def layer_child() -> None:
         of the projected rows below already built."""
         x, y = (tl.simple_object(a, field) for a in PAIR)
         p, q = x.strands, y.strands
-        if hasattr(tl._wrap_right, "cache_info"):
-            tl._wrap_right(field, p + q, q, True)
-            tl._wrap_right(field, p + q, p + q, True)
-        else:  # trees that cache each wrap under its use instead
-            tl._traciator_middle(field, p, q, "+")
-            tl._curl_middle(field, p + q, True, "right")
+        tl._wrap_right(field, p + q, q, True)
+        tl._wrap_right(field, p + q, p + q, True)
         return x, y, x.tensor(y)
 
     def composition_pair(field):
