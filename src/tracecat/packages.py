@@ -12,10 +12,12 @@ Format (UTF-8, `#` comments, whitespace-separated decimal integers):
     mfusion <x-label> <y-label>
     <one row: multiplicities of x (x) y over the module simples>
 
-A package with a unit and all mfusion blocks loads as ModuleTensorData;
-one without mfusion blocks loads as a ModuleAction.  Every invariant is
-revalidated on load and violations carry the offending line number.
-Committed packages round-trip byte for byte through save_package.
+Each of the header lines `package`, `base`, `msimples` and `unit` appears
+at most once.  A package with a unit and all mfusion blocks loads as
+ModuleTensorData; one without mfusion blocks loads as a ModuleAction.
+Every invariant is revalidated on load and violations carry the offending
+line number.  Committed packages round-trip byte for byte through
+save_package.
 """
 
 from __future__ import annotations
@@ -164,19 +166,11 @@ def parse_package(
     instead of recursing.
     """
     lines = text.splitlines()
-    items: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(lines, start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            items.append((lineno, stripped.split()))
+    numbered = enumerate((raw.split("#", 1)[0].split() for raw in lines), start=1)
+    items = [(lineno, tokens) for lineno, tokens in numbered if tokens]
 
     def fail(lineno: int, msg: str):
         raise PackageError(f"{source}: line {lineno}: {msg}")
-
-    pos = 0
-
-    def peek():
-        return items[pos] if pos < len(items) else (len(lines) + 1, [])
 
     name = None
     base: FusionRing | None = None
@@ -185,34 +179,36 @@ def parse_package(
     unit_label = None
     actions: dict[str, np.ndarray] = {}
     mfusion: dict[tuple[str, str], np.ndarray] = {}
+    seen: set[str] = set()  # the directive keys met so far
+    rest = iter(items)  # the directive loop and read_row both advance it
 
-    def read_row(expected_len: int) -> np.ndarray:
-        nonlocal pos
-        lineno, tokens = peek()
-        if pos >= len(items):
+    def read_row() -> np.ndarray:
+        """The next line as one row of a matrix block, of len(msimples) entries."""
+        lineno, tokens = next(rest, (len(lines) + 1, None))
+        if tokens is None:
             fail(lineno, "unexpected end of file inside a matrix block")
         try:
             row = [int(t) for t in tokens]
         except ValueError:
             fail(lineno, f"expected integers, got {' '.join(tokens)!r}")
-        if len(row) != expected_len:
-            fail(lineno, f"expected {expected_len} integers, got {len(row)}")
+        if len(row) != len(msimples):
+            fail(lineno, f"expected {len(msimples)} integers, got {len(row)}")
         for v in row:
             if v < 0:
                 fail(lineno, f"negative multiplicity {v}")
             if v >= 2**63:
                 fail(lineno, f"multiplicity {v} does not fit in 64 bits")
-        pos += 1
         return np.array(row, dtype=np.int64)
 
-    while pos < len(items):
-        lineno, tokens = items[pos]
+    for lineno, tokens in rest:
         key = tokens[0]
+        if key in seen and key in ("package", "base", "msimples", "unit"):
+            fail(lineno, f"duplicate {key} line")
+        seen.add(key)
         if key == "package":
             if len(tokens) != 2:
                 fail(lineno, "usage: package <name>")
             name = tokens[1]
-            pos += 1
         elif key == "base":
             if len(tokens) != 3 or tokens[1] not in ("su2", "file"):
                 fail(lineno, "usage: base su2 <k> | base file <ring-name>")
@@ -239,17 +235,14 @@ def parse_package(
                     fail(lineno, f"base ring {tokens[2]!r} is not a module tensor package")
                 base = ref.module_ring()
             base_spec = f"{tokens[1]} {tokens[2]}"
-            pos += 1
         elif key == "msimples":
             msimples = tuple(tokens[1:])
             if len(set(msimples)) != len(msimples) or not msimples:
                 fail(lineno, "module simple labels must be nonempty and distinct")
-            pos += 1
         elif key == "unit":
             if len(tokens) != 2:
                 fail(lineno, "usage: unit <label>")
             unit_label = tokens[1]
-            pos += 1
         elif key == "action":
             if base is None or msimples is None:
                 fail(lineno, "action block before base/msimples")
@@ -260,9 +253,7 @@ def parse_package(
                 fail(lineno, f"unknown base label {label!r}")
             if label in actions:
                 fail(lineno, f"duplicate action block for {label!r}")
-            pos += 1
-            rows = [read_row(len(msimples)) for _ in range(len(msimples))]
-            actions[label] = np.stack(rows)
+            actions[label] = np.stack([read_row() for _ in msimples])
         elif key == "mfusion":
             if msimples is None:
                 fail(lineno, "mfusion block before msimples")
@@ -274,8 +265,7 @@ def parse_package(
                     fail(lineno, f"unknown module label {lab!r}")
             if (xl, yl) in mfusion:
                 fail(lineno, f"duplicate mfusion block for {xl} {yl}")
-            pos += 1
-            mfusion[(xl, yl)] = read_row(len(msimples))
+            mfusion[(xl, yl)] = read_row()
         else:
             fail(lineno, f"unknown directive {key!r}")
 
@@ -290,11 +280,9 @@ def parse_package(
     if missing:
         fail(len(lines), f"missing action block for base label {missing[0]!r}")
 
-    unit_index = None
-    if unit_label is not None:
-        if unit_label not in msimples:
-            fail(first_line, f"unit label {unit_label!r} is not a module simple")
-        unit_index = msimples.index(unit_label)
+    if unit_label is not None and unit_label not in msimples:
+        fail(first_line, f"unit label {unit_label!r} is not a module simple")
+    unit_index = None if unit_label is None else msimples.index(unit_label)
 
     fields = dict(
         name=name,
@@ -314,12 +302,11 @@ def parse_package(
     if unit_index is None:
         fail(first_line, "mfusion blocks require a unit declaration")
     m = len(msimples)
-    mN = np.zeros((m, m, m), dtype=np.int64)
-    for x, xl in enumerate(msimples):
-        for y, yl in enumerate(msimples):
-            if (xl, yl) not in mfusion:
-                fail(len(lines), f"missing mfusion block for {xl} {yl}")
-            mN[x, y] = mfusion[(xl, yl)]
+    pairs = [(xl, yl) for xl in msimples for yl in msimples]
+    for xl, yl in pairs:
+        if (xl, yl) not in mfusion:
+            fail(len(lines), f"missing mfusion block for {xl} {yl}")
+    mN = np.stack([mfusion[pair] for pair in pairs]).reshape(m, m, m)
     try:
         data = ModuleTensorData(**fields, mN=mN)
         report = validate_tensor_data(data)

@@ -555,10 +555,7 @@ def twist_morphism(x: TLObject, positive: bool = True, side: str = "right") -> T
     left curl is the mirror image of the right one."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    n = x.strands
-    if n == 0:
-        return x.proj
-    curl = _wrap_right(x.proj.field, n, n, positive)
+    curl = _wrap_right(x.proj.field, x.strands, x.strands, positive)
     return compose(curl if side == "right" else curl.mirror(), x.proj)
 
 
@@ -584,18 +581,11 @@ def pivotal_trace(f: TLMorphism, side: str = "left"):
     """Close an endomorphism to the chosen side; returns the exact scalar."""
     if f.n_bottom != f.n_top:
         raise ValueError("trace requires an endomorphism")
-    field = f.field
-    n = f.n_bottom
-    if side == "right":
-        closed = compose(
-            cap(field, n), compose(tensor(f, identity(field, n)), cup(field, n))
-        )
-    elif side == "left":
-        closed = compose(
-            cap(field, n), compose(tensor(identity(field, n), f), cup(field, n))
-        )
-    else:
+    if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
+    field, n = f.field, f.n_bottom
+    pair = (f, identity(field, n)) if side == "right" else (identity(field, n), f)
+    closed = compose(cap(field, n), compose(tensor(*pair), cup(field, n)))
     return closed.terms.get(_diagram(0, 0, ()), field.zero)
 
 

@@ -58,6 +58,12 @@ def test_word_parse_error(capsys):
     assert "parenthes" in err
 
 
+@pytest.mark.parametrize("word", ["((2))", "(())", "(1+(2))", "(2"])
+def test_parentheses_do_not_nest_in_words(capsys, word):
+    code, out, err = run(capsys, "fuse", "--k", "4", "--word", word)
+    assert (code, out, err) == (2, "", "error: unbalanced parentheses in word expression\n")
+
+
 def test_missing_package_selector(capsys):
     code, _, err = run(capsys, "trace")
     assert code == 2

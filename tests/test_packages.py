@@ -229,6 +229,25 @@ def test_duplicate_duals_are_a_package_error():
         parse_package(text)
 
 
+@pytest.mark.parametrize(
+    "line",
+    ["package other", "base su2 4", "msimples 1 2 3 3'", "unit 1", "base file nowhere"],
+)
+def test_repeated_header_line_is_a_package_error(line):
+    # a second header line fails before it is acted on: `base file nowhere` is never loaded
+    index = D4_LINES.index("action 1")
+    lines = D4_LINES[:index] + [line] + D4_LINES[index:]
+    key = line.split()[0]
+    with pytest.raises(PackageError, match=rf"line {index + 1}: duplicate {key} line$"):
+        parse_package("\n".join(lines) + "\n", base_dir=".")
+
+
+def test_msimples_after_an_action_block_is_a_package_error():
+    text = "package p\nbase su2 0\nmsimples a\naction 1\n1\nmsimples a b\n"
+    with pytest.raises(PackageError, match="line 6: duplicate msimples line"):
+        parse_package(text)
+
+
 @pytest.mark.parametrize("length", [1, 2])
 def test_base_file_cycle_is_a_package_error(tmp_path, length):
     names = [f"loop{i}" for i in range(length)]

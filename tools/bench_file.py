@@ -50,7 +50,9 @@ the TL workloads by up to 0.7 MB.
 
 The output holds the machine, Python and numpy, the command with the base
 resolved to its sha, and for each tree its git sha, `src_lines` and rows
-`{name, kind, median_s, runs}`.
+`{name, kind, median_s, runs}`.  The closing summary prints each row's two
+medians, and for an end-to-end row also in how many of its pairs of runs
+the change had the lower `wall_s`.
 """
 
 from __future__ import annotations
@@ -343,7 +345,12 @@ def main(argv=None) -> int:
             )
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     for row_p, row_c in zip(report["parent"]["rows"], report["change"]["rows"]):
-        print(f"{row_c['name']:32} {row_p['median_s']:9.3f} -> {row_c['median_s']:9.3f} s")
+        line = f"{row_c['name']:32} {row_p['median_s']:9.3f} -> {row_c['median_s']:9.3f} s"
+        if row_c["kind"] == "e2e":  # run i of each side used seed i
+            pairs = list(zip(row_p["runs"], row_c["runs"]))
+            won = sum(c["wall_s"] < p["wall_s"] for p, c in pairs)
+            line += f"  (change faster in {won} of {len(pairs)} pairs)"
+        print(line)
     return 0
 
 
