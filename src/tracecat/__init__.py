@@ -19,7 +19,6 @@ from .algebra import (
     candidate_from_end,
     candidate_from_trace_unit,
     candidate_from_word,
-    check_trace_unit_algebra,
     enumerate_internal_ends,
     identify_algebra,
     semisimplicity_witness,
@@ -75,7 +74,6 @@ from .tl import (
     traciator_self_action,
     twist,
     twist_morphism,
-    unit_object,
 )
 from .trace import (
     check_adjunction,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fusion import FusionRing, ObjectVec, ValidationReport
+from .fusion import FusionRing, ObjectVec
 from .modules import (
     ModuleAction,
     ModuleError,
@@ -170,22 +170,6 @@ def identify_algebra(
             display = decomposition(x, catalog.action.msimples, "machine")
             matches.append(Match(catalog.package, catalog.morita_label, x, display))
     return matches
-
-
-def check_trace_unit_algebra(
-    data: ModuleTensorData, expected: ObjectVec | None = None
-) -> ValidationReport:
-    """Tr(1_M) is a connected algebra object (and matches `expected` if given)."""
-    failures = []
-    candidate = candidate_from_trace_unit(data)
-    if not candidate.connected:
-        failures.append(f"Tr(1) of {data.name} is not connected")
-    if expected is not None and candidate.object.mult != expected.mult:
-        failures.append(
-            f"Tr(1) of {data.name} is {candidate.object.mult}, "
-            f"expected {expected.mult}"
-        )
-    return ValidationReport(f"unit algebra {data.name}", failures)
 
 
 @dataclass

@@ -80,7 +80,7 @@ class CliError(Exception):
 
 # -- expression parsing ----------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*([0-9A-Za-z_']+|[()*+])")
+_TOKEN = re.compile(r"\s*([0-9A-Za-z_']+|[()*+])\s*")
 
 
 def _tokenize(expr: str) -> list[str]:
@@ -89,7 +89,7 @@ def _tokenize(expr: str) -> list[str]:
     while pos < len(expr):
         m = _TOKEN.match(expr, pos)
         if not m:
-            raise CliError(f"cannot tokenize object expression at {expr[pos:]!r}", 2)
+            raise CliError(f"cannot tokenize expression at {expr[pos:]!r}", 2)
         tokens.append(m.group(1))
         pos = m.end()
     return tokens

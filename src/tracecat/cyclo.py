@@ -141,11 +141,7 @@ class Cyc:
     def __init__(self, field: CycloField, num: tuple[int, ...], den: int):
         if den < 0:
             num, den = tuple(-c for c in num), -den
-        g = den
-        for c in num:
-            g = math.gcd(g, c)
-            if g == 1:
-                break
+        g = math.gcd(den, *num)
         if g > 1:
             num = tuple(c // g for c in num)
             den //= g

@@ -130,9 +130,6 @@ class FusionRing:
         mult[i] = 1
         return ObjectVec(self.name, tuple(mult))
 
-    def unit_object(self) -> ObjectVec:
-        return self.basis(self.unit)
-
     def action_matrix(self, i: int) -> np.ndarray:
         """Matrix of left multiplication by simple i: rows = output simples."""
         return self.N[i].T.copy()

@@ -68,12 +68,8 @@ class ModuleAction:
         # a ModuleTensorData never equals a plain action with the same matrices
         if type(other) is not type(self):
             return NotImplemented
-        return (
-            self.name == other.name
-            and self.base == other.base
-            and self.msimples == other.msimples
-            and self.unit_module == other.unit_module
-            and np.array_equal(self.mats, other.mats)
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
         )
 
     @property
@@ -222,7 +218,7 @@ def _base_spec_for(ring: FusionRing) -> str:
     return f"file {ring.name.removesuffix('.module')}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModuleTensorData(ModuleAction):
     """A module category with compatible tensor structure (at the K-level):
     the action plus the module fusion tensor mN and the duality of the
@@ -243,12 +239,6 @@ class ModuleTensorData(ModuleAction):
             raise ModuleError("module fusion tensor has wrong shape")
         if not self.mdual:
             object.__setattr__(self, "mdual", _dual_from_tensor(mN, self.unit_module))
-
-    def __eq__(self, other: object) -> bool:
-        same = super().__eq__(other)
-        if same is not True:
-            return same
-        return self.mdual == other.mdual and np.array_equal(self.mN, other.mN)
 
     def module_ring(self) -> FusionRing:
         return FusionRing(
@@ -626,9 +616,10 @@ class _FusionSolver:
                 self._search(vals, dual, solutions)
             return
         if cell is None:
-            mN = self._assemble(vals)
-            if mN is None:
-                return
+            # each pivot cell shares an equation with its pair's free cells,
+            # so propagation has forced every pivot cell by now
+            mN = np.zeros((self.m,) * 3, dtype=np.int64)
+            mN[tuple(np.array(list(vals)).T)] = list(vals.values())
             candidate = ModuleTensorData(**_action_fields(self.action), mN=mN, mdual=dual)
             if validate_tensor_data(candidate).ok:
                 solutions.append(mN)
@@ -651,10 +642,3 @@ class _FusionSolver:
         if any(dual[d] != z for z, d in enumerate(dual)):
             return None
         return tuple(dual)
-
-    def _assemble(self, vals) -> np.ndarray | None:
-        if len(vals) < self.m**3:
-            return None
-        mN = np.zeros((self.m,) * 3, dtype=np.int64)
-        mN[tuple(np.array(list(vals)).T)] = list(vals.values())
-        return mN

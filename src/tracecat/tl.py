@@ -161,15 +161,13 @@ def _glue(top: PlanarDiagram, bottom: PlanarDiagram) -> tuple[int, PlanarDiagram
                 p = low[a + p]
         else:
             p = high[start - a + b]
+            # a strand from here to a bottom point was walked from there
             while p < b:
                 seen[p] = True
                 p = low[a + p]
-                if p < a:
-                    break
                 seen[p - a] = True
                 p = high[p - a]
-            else:
-                p += a - b
+            p += a - b
         result[start], result[p] = p, start
     loops = 0
     for j in range(b):
@@ -237,9 +235,6 @@ class TLMorphism:
             return NotImplemented
         same = (self.field, self.n_bottom, self.n_top) == (other.field, other.n_bottom, other.n_top)
         return same and self.terms == other.terms
-
-    def __hash__(self):
-        raise TypeError("TLMorphism is unhashable")
 
     # -- diagram operations ---------------------------------------------------
 
@@ -435,10 +430,6 @@ def jones_wenzl(n: int, field) -> TLObject:
     e_last = e_generator(field, n, n - 2)
     correction = compose(grown, compose(e_last, grown)).scaled(ratio)
     return TLObject(n, grown - correction)
-
-
-def unit_object(field) -> TLObject:
-    return TLObject(0, identity(field, 0))
 
 
 def simple_object(label: int, field) -> TLObject:
@@ -797,7 +788,7 @@ def identity_suite(k: int, exact: bool = True, strand_cap: int | None = None) ->
 
     def obj(parts: tuple[int, ...]) -> TLObject:
         if parts not in objects:
-            out = unit_object(field)
+            out = jones_wenzl(0, field)
             for lab in parts:
                 out = out.tensor(simple_object(lab, field))
             objects[parts] = out

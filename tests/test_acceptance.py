@@ -10,8 +10,8 @@ published ADE values.
 import pytest
 
 from tracecat.algebra import (
+    candidate_from_trace_unit,
     candidate_from_word,
-    check_trace_unit_algebra,
     enumerate_internal_ends,
     identify_algebra,
 )
@@ -103,7 +103,7 @@ def test_criterion_4_unit_traces_are_the_algebras():
         data = load_builtin(name)
         tr = trace_object(data, data.basis(data.unit_module))
         assert object_labels(tr, data.base.labels) == labels
-        assert check_trace_unit_algebra(data).ok  # connected
+        assert candidate_from_trace_unit(data).connected
     report(4, "Tr(1) recovers the defining algebra (connected) for D4/E6/E8")
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from tracecat import algebra, cli
 from tracecat.cyclo import CycloField
+from tracecat.fusion import verlinde_su2
 from tracecat.modules import AmbiguousFusion, regular_module
 from tracecat.packages import ade_action, data_dir, load_builtin, save_package
 
@@ -62,6 +63,23 @@ def test_word_parse_error(capsys):
 def test_parentheses_do_not_nest_in_words(capsys, word):
     code, out, err = run(capsys, "fuse", "--k", "4", "--word", word)
     assert (code, out, err) == (2, "", "error: unbalanced parentheses in word expression\n")
+
+
+@pytest.mark.parametrize("word", ["2*2 ", "2*2\t", " 2*2", "2 * 2"])
+def test_whitespace_around_word_tokens_is_accepted(capsys, word):
+    ring = verlinde_su2(4)
+    assert cli.parse_word(word, ring.labels, ring.name) == cli.parse_word("2*2", ring.labels, ring.name)
+    assert run(capsys, "fuse", "--k", "4", "--word", word) == (0, "1 ⊕ 3\n", "")
+
+
+def test_trailing_whitespace_after_an_object_is_accepted():
+    ring = verlinde_su2(16)
+    assert cli.parse_object("1+9 ", ring.labels, ring.name) == ring.basis("1") + ring.basis("9")
+
+
+def test_an_untokenizable_word_is_one_error_line(capsys):
+    code, out, err = run(capsys, "fuse", "--k", "4", "--word", "1&1")
+    assert (code, out, err) == (2, "", "error: cannot tokenize expression at '&1'\n")
 
 
 def test_missing_package_selector(capsys):
@@ -231,6 +249,21 @@ def test_verify_single_package(capsys):
     code, out, _ = run(capsys, "verify", "--builtin", "d4_su2_4")
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_verify_rank_one_package(capsys):
+    # the trace rebuild of a rank-1 module
+    code, out, _ = run(capsys, "verify", "--builtin", "a1_su2_0")
+    assert code == 0
+    assert out.splitlines() == [
+        "PASS  ring su2_0",
+        "PASS  action a1_su2_0",
+        "PASS  module tensor data a1_su2_0",
+        "PASS  splitting a1_su2_0",
+        "PASS  trace rotation a1_su2_0",
+        "PASS  adjunction a1_su2_0",
+        "PASS  underlying object a1_su2_0",
+    ]
 
 
 def test_verify_tl_level_two(capsys):

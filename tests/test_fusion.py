@@ -125,8 +125,8 @@ def test_verlinde_spec_examples():
 def test_fuse_unit_law_and_bilinearity():
     ring = verlinde_su2(4)
     x = ObjectVec(ring.name, (1, 0, 2, 0, 1))
-    assert fuse(ring, ring.unit_object(), x) == x
-    assert fuse(ring, x, ring.unit_object()) == x
+    assert fuse(ring, ring.basis(ring.unit), x) == x
+    assert fuse(ring, x, ring.basis(ring.unit)) == x
 
     # SU(2)_16: (1+9)(1+9) = 1 + 9 + 9 + 9*9
     r16 = verlinde_su2(16)
@@ -156,7 +156,7 @@ def test_fuse_associative_and_unital(xs, ys, zs):
     ring = verlinde_su2(4)
     x, y, z = (ObjectVec(ring.name, tuple(v)) for v in (xs, ys, zs))
     assert fuse(ring, fuse(ring, x, y), z) == fuse(ring, x, fuse(ring, y, z))
-    assert fuse(ring, ring.unit_object(), x) == x
+    assert fuse(ring, ring.basis(ring.unit), x) == x
 
 
 @settings(max_examples=40, deadline=None)

@@ -22,7 +22,14 @@ from tracecat.modules import (
     validate_action,
     validate_tensor_data,
 )
-from tracecat.packages import BUILTIN_FILES, ade_action, dynkin_graph, load_builtin, package_text
+from tracecat.packages import (
+    BUILTIN_FILES,
+    ade_action,
+    dynkin_graph,
+    load_builtin,
+    package_text,
+    parse_package,
+)
 from tracecat.trace import (
     check_adjunction,
     check_forgetful,
@@ -174,6 +181,32 @@ def test_module_tensor_data_never_equals_a_plain_action():
     assert data != plain and plain != data
     assert data == ModuleTensorData(*fields, mN=data.mN)
     assert data != dataclasses.replace(data, mN=2 * data.mN)
+
+
+def test_module_data_differing_in_any_field_are_unequal():
+    data = load_builtin("d4_su2_4")
+    changes = {
+        "name": "other",
+        "base_spec": "file a5_su2_4",
+        "msimples": ("a", "b", "c", "d"),
+        "mats": 2 * data.mats,
+        "unit_module": 1,
+        "mN": 2 * data.mN,
+        "mdual": data.mdual[:2] + data.mdual[:1:-1],
+    }
+    assert {f.name for f in dataclasses.fields(data)} == set(changes) | {"base"}
+    for name, value in changes.items():
+        assert dataclasses.replace(data, **{name: value}) != data, name
+
+
+def test_module_data_over_a_file_base_differ_from_those_over_su2():
+    # a5_su2_4's module ring equals su2_4 as a based ring; only base_spec differs
+    text = package_text(load_builtin("d4_su2_4")).replace("base su2 4", "base file a5_su2_4")
+    over_file = parse_package(text, base_dir=".")
+    d4 = load_builtin("d4_su2_4")
+    assert over_file.base == d4.base and np.array_equal(over_file.mN, d4.mN)
+    assert over_file != d4
+    assert dataclasses.replace(over_file, base_spec="su2 4") == d4
 
 
 def test_derive_takes_the_action_fields_and_never_the_callers_fusion_tensor():

@@ -242,6 +242,60 @@ def test_repeated_header_line_is_a_package_error(line):
         parse_package("\n".join(lines) + "\n", base_dir=".")
 
 
+def d4_edit(line: str, *replacements: str) -> str:
+    """d4_su2_4.pkg's text with `line` replaced by the given lines (none
+    deletes it)."""
+    index = D4_LINES.index(line)
+    return "\n".join(D4_LINES[:index] + list(replacements) + D4_LINES[index + 1 :]) + "\n"
+
+
+ACTION_5 = D4_LINES.index("action 5")
+TENSOR_FAILURES = (
+    "associativity fails at (2,2,3) -> 1; duality compatibility fails at N[2][2][3]; "
+    "free-module compatibility fails: Phi(2) (x) 2; "
+    "free-module map is not a ring homomorphism at (2, 2)"
+)
+
+
+@pytest.mark.parametrize(
+    "text,base_dir,lineno,message",
+    [
+        (d4_edit("package d4_su2_4", "package"), ".", 1, "usage: package <name>"),
+        (d4_edit("base su2 4", "base su2"), ".", 2, "usage: base su2 <k> | base file <ring-name>"),
+        (d4_edit("unit 1", "unit"), ".", 4, "usage: unit <label>"),
+        (d4_edit("action 1", "action 1 2"), ".", 5, "usage: action <base-label>"),
+        (d4_edit("mfusion 1 1", "mfusion 1"), ".", 30, "usage: mfusion <x-label> <y-label>"),
+        (d4_edit("base su2 4", "base file a5_su2_4"), None, 2,
+         "base file references need a base directory"),
+        (d4_edit("base su2 4", "base file e7_su2_16"), ".", 2,
+         "base ring 'e7_su2_16' is not a module tensor package"),
+        (d4_edit("msimples 1 2 3 3'", "msimples 1 2 3 3"), ".", 3,
+         "module simple labels must be nonempty and distinct"),
+        (d4_edit("action 1", "action 7"), ".", 5, "unknown base label '7'"),
+        (d4_edit("mfusion 1 1", "mfusion 1 9"), ".", 30, "unknown module label '9'"),
+        (d4_edit("action 2", "action 1"), ".", 10, "duplicate action block for '1'"),
+        (d4_edit("mfusion 1 2", "mfusion 1 1"), ".", 32, "duplicate mfusion block for 1 1"),
+        ("\n".join([D4_LINES[0]] + D4_LINES[2:4]) + "\n", ".", 1, "missing base declaration"),
+        ("\n".join(D4_LINES[:2]) + "\n", ".", 1, "missing msimples declaration"),
+        ("\n".join(D4_LINES[:ACTION_5] + D4_LINES[ACTION_5 + 5 :]) + "\n", ".", 56,
+         "missing action block for base label '5'"),
+        (d4_edit("unit 1", "unit 9"), ".", 1, "unit label '9' is not a module simple"),
+        (replace_line(D4_LINES.index("mfusion 2 2") + 1, "1 0 1 0"), ".", 1, TENSOR_FAILURES),
+    ],
+    ids=[
+        "usage-package", "usage-base", "usage-unit", "usage-action", "usage-mfusion",
+        "base-file-without-directory", "base-file-action-only", "msimples-repeated",
+        "unknown-base-label", "unknown-module-label", "duplicate-action", "duplicate-mfusion",
+        "missing-base", "missing-msimples", "missing-action", "unit-not-a-simple",
+        "tensor-data-invalid",
+    ],
+)
+def test_each_package_refusal_names_its_line(text, base_dir, lineno, message):
+    with pytest.raises(PackageError) as excinfo:
+        parse_package(text, base_dir=base_dir)
+    assert str(excinfo.value) == f"<string>: line {lineno}: {message}"
+
+
 def test_msimples_after_an_action_block_is_a_package_error():
     text = "package p\nbase su2 0\nmsimples a\naction 1\n1\nmsimples a b\n"
     with pytest.raises(PackageError, match="line 6: duplicate msimples line"):

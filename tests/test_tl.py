@@ -5,7 +5,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from tracecat import tl
+from tracecat import cli, tl
 from tracecat.cyclo import Cyc, scalar_field
 from tracecat.tl import (
     PlanarDiagram,
@@ -29,7 +29,6 @@ from tracecat.tl import (
     traciator_self_action,
     twist,
     twist_morphism,
-    unit_object,
 )
 
 K = 4
@@ -166,7 +165,7 @@ def test_twist_matches_kauffman_oracle(n):
 def test_twist_unit_variants():
     assert twist(jones_wenzl(0, F)) == F.one
     # an unknown side fails on every object, the unit included
-    for x in (unit_object(F), jones_wenzl(1, F)):
+    for x in (jones_wenzl(0, F), jones_wenzl(1, F)):
         with pytest.raises(ValueError, match="side must be"):
             twist_morphism(x, True, "sideways")
 
@@ -179,7 +178,7 @@ def test_pivotal_trace_spherical():
 
 
 def test_traciator_unit_cases():
-    u = unit_object(F)
+    u = jones_wenzl(0, F)
     x = simple_object(3, F)
     theta = twist_morphism(x, True, "right")
     assert traciator_self_action(x, u, "+") == x.proj
@@ -685,6 +684,42 @@ def test_tensor_interns_after_the_diagram_table_is_emptied():
     assert d is tl._diagram(d.n_bottom, d.n_top, d.pairing)
 
 
+BROKEN_CROSSING_FAILS = [
+    "FAIL  braid_inverse_reidemeister_2_3  (braiding not invertible)",
+    "FAIL  traciator_inverse  (tau- tau+ != id at (2, 1))",
+    "FAIL  traciator_zigzag  (zig-zag fails at (2, 1))",
+    "FAIL  two_twists_ribbon_pivotal  (pivotal morphism is not the identity at label 2)",
+]
+
+
+@pytest.fixture
+def under_crossing_is_the_over_one(monkeypatch):
+    crossing = tl._crossing_coefficients
+    monkeypatch.setattr(tl, "_crossing_coefficients", lambda field, over: crossing(field, True))
+    _clear_tl_caches()
+    yield
+    monkeypatch.undo()
+    _clear_tl_caches()
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_identity_suite_fails_on_a_broken_crossing(k, under_crossing_is_the_over_one):
+    lines = identity_suite(k).lines()
+    assert [line for line in lines if line.startswith("FAIL")] == BROKEN_CROSSING_FAILS
+    assert sum(line.startswith("PASS") for line in lines) == 10
+
+
+def test_verify_suite_exits_one_on_a_broken_crossing(capsys, under_crossing_is_the_over_one):
+    assert cli.main(["verify", "--suite", "tl", "--k", "2"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("FAIL")] == BROKEN_CROSSING_FAILS
+
+
+def test_morphisms_are_unhashable():
+    with pytest.raises(TypeError, match="unhashable type: 'TLMorphism'"):
+        hash(identity(F, 1))
+
+
 # -- projected wraps: one projector, carried through by naturality --------------
 
 
@@ -716,7 +751,7 @@ def _two_sided(bottom, middle, top):
 
 
 def _product(field, labels):
-    out = unit_object(field)
+    out = jones_wenzl(0, field)
     for a in labels:
         out = out.tensor(simple_object(a, field))
     return out

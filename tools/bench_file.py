@@ -52,7 +52,8 @@ The output holds the machine, Python and numpy, the command with the base
 resolved to its sha, and for each tree its git sha, `src_lines` and rows
 `{name, kind, median_s, runs}`.  The closing summary prints each row's two
 medians, and for an end-to-end row also in how many of its pairs of runs
-the change had the lower `wall_s`.
+the change had the lower `wall_s` and the distance between the quartiles
+of the parent's `wall_s` (numpy's default, linear interpolation).
 """
 
 from __future__ import annotations
@@ -349,7 +350,14 @@ def main(argv=None) -> int:
         if row_c["kind"] == "e2e":  # run i of each side used seed i
             pairs = list(zip(row_p["runs"], row_c["runs"]))
             won = sum(c["wall_s"] < p["wall_s"] for p, c in pairs)
-            line += f"  (change faster in {won} of {len(pairs)} pairs)"
+            # the spread a claimed gain's medians must exceed
+            q1, _, q3 = statistics.quantiles(
+                [p["wall_s"] for p in row_p["runs"]], n=4, method="inclusive"
+            )
+            line += (
+                f"  (change faster in {won} of {len(pairs)} pairs;"
+                f" parent quartile distance {q3 - q1:.3f} s)"
+            )
         print(line)
     return 0
 
