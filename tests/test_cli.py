@@ -431,6 +431,12 @@ def test_strand_caps_past_the_maximum_exit_one(capsys):
     assert err == "error: strand cap 7 exceeds the maximum 6\n"
 
 
+def test_strand_cap_past_the_maximum_with_all_prints_no_check(capsys):
+    # the package checks run before the suite refuses the cap, and print nothing
+    code, out, err = run(capsys, "verify", "--all", "--bound", "7")
+    assert (code, out, err) == (1, "", "error: strand cap 7 exceeds the maximum 6\n")
+
+
 IDENTIFY_E7 = ("--object", "1", "--identify", "e7_su2_16")
 
 
